@@ -249,16 +249,23 @@ impl PlanSpace {
     }
 
     /// Like [`build`](Self::build) but takes shared ownership directly,
-    /// avoiding the memo copy — the path [`PreparedQuery::prepare`] uses.
+    /// avoiding the memo copy. ([`PreparedQuery::prepare`] goes one step
+    /// further and reuses the optimizer's eligibility scan, see
+    /// [`Links::from_scan`].)
     pub fn build_shared(memo: Arc<Memo>, query: Arc<QuerySpec>) -> Result<Self, SpaceError> {
         let links = Links::build(&memo, &query)?;
+        Ok(PlanSpace::counted(memo, query, links))
+    }
+
+    /// Completes a space over already-materialized links by counting.
+    pub(crate) fn counted(memo: Arc<Memo>, query: Arc<QuerySpec>, links: Links) -> Self {
         let counts = Counts::compute(&links);
-        Ok(PlanSpace {
+        PlanSpace {
             memo,
             query,
             links,
             counts,
-        })
+        }
     }
 
     /// Reassembles a plan space from already-validated components — the

@@ -25,11 +25,14 @@
 //! Alternative lists are *interned*: two slots demanding the same
 //! `(group, requirement)` — or even different requirements that filter
 //! down to the same child set — share one [`ListId`]. Sibling joins over
-//! the same input groups share most of their lists, which collapses both
-//! the memory footprint and the number of `eligible_children` property
-//! scans from "once per slot" to "once per distinct slot". The per-list
-//! slot totals `b_v(i)` of §3.2 are likewise computed once per distinct
-//! list (see [`crate::Counts`]).
+//! the same input groups share most of their lists, which collapses the
+//! memory footprint. The lists come from the memo's
+//! [`SlotScan`](plansample_memo::SlotScan), which runs the
+//! `eligible_children` property scan once per distinct slot — and which
+//! the optimizer already built for best-plan extraction, so a prepare
+//! hands it over ([`Links::from_scan`]) instead of scanning twice. The
+//! per-list slot totals `b_v(i)` of §3.2 are likewise computed once per
+//! distinct list (see [`crate::Counts`]).
 //!
 //! Building the links also computes a topological order of the plan
 //! graph (children before parents) in the same pass that verifies
@@ -39,7 +42,7 @@
 //! hand-built memos are checked defensively.
 
 use crate::SpaceError;
-use plansample_memo::{eligible_children, ChildSlot, DenseId, DenseIdMap, Memo, PhysId};
+use plansample_memo::{DenseId, DenseIdMap, Memo, PhysId, SlotScan};
 use plansample_query::QuerySpec;
 use std::collections::HashMap;
 
@@ -104,68 +107,41 @@ pub struct Links {
 }
 
 impl Links {
-    /// Smallest number of distinct slots worth a worker thread: each
-    /// slot costs one `eligible_children` scan over its group.
-    const PAR_MIN_SLOTS: usize = 16;
-
     /// Materializes all links, interning duplicate alternative lists, and
     /// computes the topological order (failing on cyclic hand-built
     /// memos).
     ///
-    /// The build is parallel in its hot phase and *deterministic*: the
-    /// output is bit-identical at every thread count (see
-    /// `tests/build_determinism.rs`). Three passes:
-    ///
-    /// 1. **Gather** (sequential, cheap): walk every expression's child
-    ///    slots, assigning each *distinct* slot an index in
-    ///    first-encounter order — no property scans yet.
-    /// 2. **Scan** (parallel): one `eligible_children` property scan per
-    ///    distinct slot, fanned out over the `threadpool` workers. The
-    ///    scans are independent and their outputs are a pure function of
-    ///    the slot, so the fan-out cannot perturb the result.
-    /// 3. **Intern** (sequential, cheap): content-intern the per-slot
-    ///    child lists *in distinct-slot order* — the same first-encounter
-    ///    order the sequential build used, which pins pool layout and
-    ///    [`ListId`] assignment.
+    /// Runs the eligibility scan itself; a caller that already holds
+    /// the memo's [`SlotScan`] (the optimizer's output carries one)
+    /// should use [`from_scan`](Self::from_scan) instead.
     pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, SpaceError> {
-        let ids = DenseIdMap::build(memo);
-        let n = ids.len();
+        Links::from_scan(memo, SlotScan::build(memo, query))
+    }
 
-        // Pass 1: gather slots; distinct slots in first-encounter order.
-        let mut slot_of: Vec<u32> = Vec::new();
-        let mut slot_bounds: Vec<u32> = Vec::with_capacity(n + 1);
-        slot_bounds.push(0);
-        let mut by_slot: HashMap<ChildSlot, u32> = HashMap::new();
-        let mut distinct: Vec<ChildSlot> = Vec::new();
-        for group in memo.groups() {
-            for (id, expr) in group.phys_iter() {
-                for slot in expr.child_slots(id.group) {
-                    let next = distinct.len() as u32;
-                    let idx = match by_slot.entry(slot) {
-                        std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            distinct.push(v.key().clone());
-                            v.insert(next);
-                            next
-                        }
-                    };
-                    slot_of.push(idx);
-                }
-                slot_bounds.push(slot_of.len() as u32);
-            }
-        }
+    /// Materializes the links from the memo's eligibility scan, taking
+    /// its buffers over instead of scanning again.
+    ///
+    /// The build is *deterministic*: the output is bit-identical at
+    /// every thread count (see `tests/build_determinism.rs`). The scan
+    /// (see [`SlotScan::build`]) gathers the distinct slots in
+    /// first-encounter order and runs one parallel property scan per
+    /// distinct slot; this step then content-interns the per-slot child
+    /// lists *in distinct-slot order* — the same first-encounter order
+    /// the sequential build used, which pins pool layout and [`ListId`]
+    /// assignment — and computes the topological order.
+    ///
+    /// # Panics
+    /// Panics when `scan` was not built from `memo`.
+    pub fn from_scan(memo: &Memo, scan: SlotScan) -> Result<Links, SpaceError> {
+        let (ids, slot_of, slot_bounds, kid_lists) = scan.into_parts();
+        assert_eq!(
+            ids.len(),
+            memo.num_physical(),
+            "the scan must come from this memo"
+        );
 
-        // Pass 2: the property scans — the expensive part — in parallel.
-        let kid_lists: Vec<Vec<DenseId>> =
-            threadpool::parallel_map(distinct.len(), Self::PAR_MIN_SLOTS, |i| {
-                eligible_children(memo, query, &distinct[i])
-                    .iter()
-                    .map(|&k| ids.dense(k))
-                    .collect()
-            });
-
-        // Pass 3: content-intern (collapses distinct slots that filter to
-        // the same alternatives) and resolve per-slot list ids.
+        // Content-intern (collapses distinct slots that filter to the
+        // same alternatives) and resolve per-slot list ids.
         let mut pool: Vec<DenseId> = Vec::new();
         let mut list_bounds: Vec<u32> = vec![0];
         let mut by_content: HashMap<Vec<DenseId>, ListId> = HashMap::new();
@@ -182,7 +158,7 @@ impl Links {
                     l
                 }
             };
-        let mut list_of_slot: Vec<ListId> = Vec::with_capacity(distinct.len());
+        let mut list_of_slot: Vec<ListId> = Vec::with_capacity(kid_lists.len());
         for kids in kid_lists {
             list_of_slot.push(intern(kids, &mut pool, &mut list_bounds));
         }

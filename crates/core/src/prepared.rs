@@ -10,7 +10,7 @@
 //! can count, unrank, page, and sample concurrently with zero
 //! re-optimization and zero locking.
 
-use crate::{Error, PlanBatch, PlanCursor, PlanSpace, SpaceError};
+use crate::{Error, Links, PlanBatch, PlanCursor, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
 use plansample_memo::{satisfies_cols, Memo, PhysId, PlanNode, SortOrder};
@@ -72,7 +72,9 @@ impl PreparedQuery {
     }
 
     /// Builds the artifact from an already-run optimization, taking
-    /// ownership of the memo without copying it.
+    /// ownership of the memo without copying it. The links are interned
+    /// from the optimizer's eligibility scan, so the prepare as a whole
+    /// scans each distinct child slot once.
     pub fn from_optimized(
         optimized: Optimized,
         query: Arc<QuerySpec>,
@@ -82,8 +84,10 @@ impl PreparedQuery {
             memo,
             best_plan,
             best_cost,
+            slots,
         } = optimized;
-        let space = PlanSpace::build_shared(Arc::new(memo), query)?;
+        let links = Links::from_scan(&memo, slots)?;
+        let space = PlanSpace::counted(Arc::new(memo), query, links);
         Ok(PreparedQuery {
             space,
             best_plan,

@@ -292,6 +292,29 @@ impl PlanService {
         state.entries.contains_key(&key)
     }
 
+    /// Returns the cached artifact for `query`, counting a hit and
+    /// refreshing its LRU position; on a miss returns `None` and counts
+    /// nothing.
+    ///
+    /// The warm path for serving front-ends: a cached request costs one
+    /// key computation and one lock, and only a miss goes on to
+    /// admission control and [`get_or_prepare`](Self::get_or_prepare).
+    pub fn get_cached(&self, query: &QuerySpec) -> Option<Arc<PreparedQuery>> {
+        let key = cache_key(query, &self.config);
+        let mut state = self.state.lock().expect("service cache poisoned");
+        self.hit(&mut state, &key)
+    }
+
+    /// Serves `key` from the cache if present: advances the LRU clock,
+    /// stamps the entry and counts the hit.
+    fn hit(&self, state: &mut CacheState, key: &str) -> Option<Arc<PreparedQuery>> {
+        let tick = state.next_tick();
+        let entry = state.entries.get_mut(key)?;
+        entry.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.prepared))
+    }
+
     /// Returns the prepared artifact for `query`, preparing and caching
     /// it on first request.
     ///
@@ -305,11 +328,8 @@ impl PlanService {
         loop {
             let flight = {
                 let mut state = self.state.lock().expect("service cache poisoned");
-                let tick = state.next_tick();
-                if let Some(entry) = state.entries.get_mut(&key) {
-                    entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&entry.prepared));
+                if let Some(prepared) = self.hit(&mut state, &key) {
+                    return Ok(prepared);
                 }
                 match state.inflight.get(&key) {
                     Some(flight) => Some(Arc::clone(flight)),
@@ -743,6 +763,26 @@ mod tests {
         // same query reports cached too.
         s.clear();
         assert!(!s.is_cached(&q));
+    }
+
+    #[test]
+    fn get_cached_counts_hits_only_and_never_prepares() {
+        let s = service(4);
+        let q = two_rel_query(
+            s.catalog(),
+            "nation",
+            "region",
+            "n_regionkey",
+            "r_regionkey",
+        );
+        assert!(s.get_cached(&q).is_none());
+        let stats = s.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        let prepared = s.get_or_prepare(&q).unwrap();
+        let hit = s.get_cached(&q).expect("cached after preparation");
+        assert!(Arc::ptr_eq(&hit, &prepared));
+        let stats = s.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "one hit, counted once");
     }
 
     #[test]

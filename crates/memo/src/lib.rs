@@ -34,7 +34,7 @@ mod render;
 
 pub use dense::{DenseId, DenseIdMap};
 pub use expr::{ChildSlot, LogicalOp, PhysicalExpr, PhysicalOp, Requirement};
-pub use links::eligible_children;
+pub use links::{eligible_children, thread_eligibility_scans, SlotScan};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;

@@ -8,96 +8,155 @@
 //! operator in the root group" the paper extracts (§2) and the optimum
 //! all sampled costs are normalized to (§5).
 
-use plansample_memo::{eligible_children, GroupId, Memo, PhysId, PlanNode};
+use plansample_memo::{DenseId, GroupId, Memo, PhysId, PlanNode, SlotScan};
 use plansample_query::QuerySpec;
 
-/// Memoized total costs for every physical expression.
+/// Memoized total costs for every physical expression, plus the cheapest
+/// child of every distinct child slot.
+///
+/// The dynamic program runs over one [`SlotScan`], so each distinct
+/// slot's minimum is computed once and shared by every expression that
+/// has the slot. The totals keep the scan: [`best_plan`] reads the
+/// per-slot argmins from it, and [`Totals::into_scan`] hands it on to
+/// link materialization, so a prepare scans each distinct slot once.
 #[derive(Debug)]
 pub struct Totals {
-    by_group: Vec<Vec<f64>>,
+    scan: SlotScan,
+    /// Total cost per expression, by dense id.
+    by_expr: Vec<f64>,
+    /// Per distinct slot: its cheapest eligible child (the first in
+    /// group order on ties), `None` when no child is eligible.
+    best_child: Vec<Option<DenseId>>,
 }
 
 impl Totals {
     /// Total cost of the sub-plan space rooted in `id` (infinite when
     /// some child slot has no eligible provider).
     pub fn total(&self, id: PhysId) -> f64 {
-        self.by_group[id.group.0 as usize][id.index]
+        self.by_expr[self.scan.ids().dense(id).idx()]
     }
 
     /// Cheapest total in `group`, infinite for empty/unsatisfiable groups.
     pub fn group_best(&self, group: GroupId) -> f64 {
-        self.by_group[group.0 as usize]
+        let range = self.scan.ids().group_range(group);
+        self.by_expr[range.start as usize..range.end as usize]
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min)
     }
-}
 
-/// Computes total costs for all expressions.
-pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
-    let mut by_group: Vec<Vec<Option<f64>>> = memo
-        .groups()
-        .map(|g| vec![None; g.physical.len()])
-        .collect();
-    for group in memo.groups() {
-        for (id, _) in group.phys_iter() {
-            total_rec(memo, query, id, &mut by_group);
+    /// The eligibility scan the totals were computed over.
+    pub fn into_scan(self) -> SlotScan {
+        self.scan
+    }
+
+    /// The plan rooted in `d` that takes each slot's cheapest child.
+    fn expand(&self, d: DenseId) -> PlanNode {
+        let children = self
+            .scan
+            .slots(d)
+            .iter()
+            .map(|&s| {
+                let child = self.best_child[s as usize]
+                    .expect("finite-cost parent implies satisfiable slots");
+                self.expand(child)
+            })
+            .collect();
+        PlanNode {
+            id: self.scan.ids().phys(d),
+            children,
         }
     }
-    Totals {
-        by_group: by_group
-            .into_iter()
-            .map(|v| v.into_iter().map(|c| c.expect("all visited")).collect())
-            .collect(),
+}
+
+/// The memoized recursion behind [`compute_totals`]: an expression's
+/// total is its local cost plus each slot's minimum child total, and a
+/// slot's minimum is computed once per distinct slot.
+struct Dp<'a> {
+    memo: &'a Memo,
+    scan: &'a SlotScan,
+    by_expr: Vec<Option<f64>>,
+    /// Per distinct slot: minimum child total and the first child
+    /// attaining it.
+    by_slot: Vec<Option<(f64, Option<DenseId>)>>,
+}
+
+impl Dp<'_> {
+    fn expr(&mut self, d: DenseId) -> f64 {
+        if let Some(c) = self.by_expr[d.idx()] {
+            return c;
+        }
+        let scan = self.scan;
+        let mut total = self.memo.phys(scan.ids().phys(d)).local_cost;
+        for &s in scan.slots(d) {
+            total += self.slot(s).0; // INFINITY when the slot is unsatisfiable
+        }
+        self.by_expr[d.idx()] = Some(total);
+        total
+    }
+
+    fn slot(&mut self, s: u32) -> (f64, Option<DenseId>) {
+        if let Some(b) = self.by_slot[s as usize] {
+            return b;
+        }
+        let scan = self.scan;
+        let (mut min, mut arg) = (f64::INFINITY, None);
+        let mut arg_total = f64::INFINITY;
+        for &child in scan.children(s) {
+            let t = self.expr(child);
+            min = min.min(t);
+            if arg.is_none() || t.total_cmp(&arg_total).is_lt() {
+                (arg, arg_total) = (Some(child), t);
+            }
+        }
+        self.by_slot[s as usize] = Some((min, arg));
+        (min, arg)
     }
 }
 
-fn total_rec(memo: &Memo, query: &QuerySpec, id: PhysId, cache: &mut [Vec<Option<f64>>]) -> f64 {
-    if let Some(c) = cache[id.group.0 as usize][id.index] {
-        return c;
+/// Computes total costs for all expressions, scanning child eligibility
+/// once per distinct slot.
+pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
+    let scan = SlotScan::build(memo, query);
+    let n = scan.ids().len();
+    let mut dp = Dp {
+        memo,
+        scan: &scan,
+        by_expr: vec![None; n],
+        by_slot: vec![None; scan.num_distinct()],
+    };
+    for d in 0..n as u32 {
+        dp.expr(DenseId(d));
     }
-    let expr = memo.phys(id);
-    let mut total = expr.local_cost;
-    for slot in expr.child_slots(id.group) {
-        let best = eligible_children(memo, query, &slot)
+    let (by_expr, by_slot) = (dp.by_expr, dp.by_slot);
+    Totals {
+        by_expr: by_expr
             .into_iter()
-            .map(|child| total_rec(memo, query, child, cache))
-            .fold(f64::INFINITY, f64::min);
-        total += best; // INFINITY when the slot is unsatisfiable
+            .map(|c| c.expect("all visited"))
+            .collect(),
+        best_child: by_slot
+            .into_iter()
+            .map(|b| b.expect("every distinct slot belongs to an expression").1)
+            .collect(),
+        scan,
     }
-    cache[id.group.0 as usize][id.index] = Some(total);
-    total
 }
 
 /// Extracts the cheapest complete plan rooted in the memo's root group.
 /// Returns `None` when no finite-cost plan exists (cannot happen for
-/// memos produced by the optimizer pipeline).
-pub fn best_plan(memo: &Memo, query: &QuerySpec, totals: &Totals) -> Option<(PlanNode, f64)> {
+/// memos produced by the optimizer pipeline). `totals` must have been
+/// computed for `memo` and `_query`; the per-slot argmins come from
+/// them, so extraction runs no eligibility scan of its own.
+pub fn best_plan(memo: &Memo, _query: &QuerySpec, totals: &Totals) -> Option<(PlanNode, f64)> {
     let root = memo.group(memo.root());
     let (best_id, _) = root
         .phys_iter()
         .map(|(id, _)| (id, totals.total(id)))
         .filter(|(_, c)| c.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))?;
-    let plan = expand(memo, query, totals, best_id);
+    let plan = totals.expand(totals.scan.ids().dense(best_id));
     let cost = totals.total(best_id);
     Some((plan, cost))
-}
-
-fn expand(memo: &Memo, query: &QuerySpec, totals: &Totals, id: PhysId) -> PlanNode {
-    let expr = memo.phys(id);
-    let children = expr
-        .child_slots(id.group)
-        .iter()
-        .map(|slot| {
-            let child = eligible_children(memo, query, slot)
-                .into_iter()
-                .min_by(|a, b| totals.total(*a).total_cmp(&totals.total(*b)))
-                .expect("finite-cost parent implies satisfiable slots");
-            expand(memo, query, totals, child)
-        })
-        .collect();
-    PlanNode { id, children }
 }
 
 /// Cost-bound pruning (the `ablation_pruning` experiment): returns a copy of

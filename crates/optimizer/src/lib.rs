@@ -36,7 +36,7 @@ pub use explore::{explore_bottom_up, explore_transform};
 pub use implement::{add_enforcers, implement_all};
 
 use plansample_catalog::Catalog;
-use plansample_memo::{Memo, PlanNode};
+use plansample_memo::{Memo, PlanNode, SlotScan};
 use plansample_query::QuerySpec;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,6 +170,11 @@ pub struct Optimized {
     pub best_plan: PlanNode,
     /// Its total cost.
     pub best_cost: f64,
+    /// The child-eligibility scan best-plan extraction ran over. Link
+    /// materialization interns its lists from this table
+    /// (`plansample_core::Links::from_scan`), so a prepare scans each
+    /// distinct child slot once.
+    pub slots: SlotScan,
 }
 
 /// Runs the full pipeline: explore → implement → enforcers → cost →
@@ -222,6 +227,7 @@ pub fn optimize(
         memo,
         best_plan,
         best_cost,
+        slots: totals.into_scan(),
     })
 }
 

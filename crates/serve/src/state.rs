@@ -322,16 +322,16 @@ impl ServerState {
         workload: &Workload,
     ) -> Result<(Arc<PreparedQuery>, bool), Box<Response>> {
         let (service, query) = self.resolve(workload)?;
-        let cached = service.is_cached(&query);
-        if !cached {
-            if let Some(denial) = self.deny_preparation(&service) {
-                self.shed_prepare.fetch_add(1, Ordering::Relaxed);
-                return Err(Box::new(denial));
-            }
+        if let Some(prepared) = service.get_cached(&query) {
+            return Ok((prepared, true));
+        }
+        if let Some(denial) = self.deny_preparation(&service) {
+            self.shed_prepare.fetch_add(1, Ordering::Relaxed);
+            return Err(Box::new(denial));
         }
         service
             .get_or_prepare(&query)
-            .map(|prepared| (prepared, cached))
+            .map(|prepared| (prepared, false))
             .map_err(|e| Box::new(error_response(&e)))
     }
 

@@ -403,10 +403,16 @@ fn global() -> &'static Pool {
 // ---------------------------------------------------------------------
 
 /// How many workers a range of `len` items deserves, given the smallest
-/// chunk worth a thread.
+/// chunk worth a thread. A range too small to split runs inline without
+/// resolving the thread count: resolution can read the cgroup CPU quota
+/// (tens of microseconds), and a prepare runs dozens of such tiny
+/// sections (topological frontiers, count strata) on small memos.
 fn workers_for(len: usize, min_chunk: usize) -> usize {
     let by_work = len / min_chunk.max(1);
-    num_threads().min(by_work).max(1)
+    if by_work < 2 {
+        return 1;
+    }
+    num_threads().min(by_work)
 }
 
 /// Chunk layout of a parallel section: more chunks than workers (up to
