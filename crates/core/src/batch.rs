@@ -3,18 +3,43 @@
 //! A [`PlanBatch`] holds `k` sampled plans as one contiguous buffer of
 //! preorder [`PhysId`]s plus a bounds table, CSR-style, mirroring the
 //! flat layout philosophy of [`crate::Links`]: after the first batch
-//! warms its capacity, refilling it allocates nothing. The serving
-//! layer's `SampleBatch` path and the throughput benchmark both sample
-//! through this type; callers that want trees keep using
-//! [`crate::PlanSpace::sample_batch`], which returns [`PlanNode`]s.
+//! warms its capacity, refilling it allocates nothing on the
+//! fixed-width tiers. The serving layer's `SampleBatch` path and the
+//! throughput benchmark both sample through this type; callers that
+//! want trees use [`crate::PlanSpace::sample_batch`], which fills a
+//! batch and rebuilds a [`plansample_memo::PlanNode`] from each entry.
 //!
 //! A preorder id sequence determines the plan tree uniquely (each
-//! operator's arity is known from the memo), so the flat form loses no
-//! information — [`PlanNode::preorder_ids`] is the inverse direction,
-//! and the differential tests compare the two representations directly.
+//! operator's arity is known from the links), so the flat form loses no
+//! information — [`plansample_memo::PlanNode::preorder_ids`] is the
+//! inverse direction, and the differential tests compare the two
+//! representations directly.
+//!
+//! Besides the plans, a batch owns the unranker's scratch: one
+//! [`Scratch`] per rung of the tier ladder, so every rung reuses its
+//! stack and rank buffers across fills.
 
 use crate::links::ListId;
-use plansample_memo::{PhysId, PlanNode};
+use plansample_bignum::Nat;
+use plansample_memo::PhysId;
+
+/// The unranker's reusable buffers for one rung's arithmetic `C`.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Scratch<C> {
+    /// The explicit recursion stack of `(list, digit)` frames.
+    pub(crate) stack: Vec<(ListId, C)>,
+    /// Ranks drawn up front by a parallel fill, in draw order.
+    pub(crate) ranks: Vec<C>,
+}
+
+impl<C> Scratch<C> {
+    /// Capacity bytes. Both buffers are empty between fills, so a
+    /// `Nat` rung holds no limb spill here.
+    fn size_bytes(&self) -> usize {
+        self.stack.capacity() * std::mem::size_of::<(ListId, C)>()
+            + self.ranks.capacity() * std::mem::size_of::<C>()
+    }
+}
 
 /// A resizable, reusable batch of flat plans.
 ///
@@ -29,16 +54,13 @@ pub struct PlanBatch {
     /// Plan `p` = `ids[bounds[p] as usize .. bounds[p+1] as usize]`;
     /// always starts with 0.
     bounds: Vec<u32>,
-    /// Unrank scratch: the explicit recursion stack of the `u64` fast
-    /// path, kept here so its capacity survives across draws.
-    pub(crate) stack: Vec<(ListId, u64)>,
-    /// Unrank scratch for the `u128` tier (same role as `stack`).
-    pub(crate) stack_wide: Vec<(ListId, u128)>,
-    /// Pre-drawn ranks of a parallel `u64`-tier fill, kept so the
-    /// parallel path's per-fill draw buffer survives across fills.
-    pub(crate) ranks: Vec<u64>,
-    /// Pre-drawn ranks of a parallel `u128`-tier fill.
-    pub(crate) ranks_wide: Vec<u128>,
+    /// Unrank scratch of the `u64` tier, kept so its capacity survives
+    /// across draws and fills.
+    pub(crate) scratch_u64: Scratch<u64>,
+    /// Unrank scratch of the `u128` tier.
+    pub(crate) scratch_u128: Scratch<u128>,
+    /// Unrank scratch of the exact-`Nat` tier.
+    pub(crate) scratch_nat: Scratch<Nat>,
     /// Per-shard sub-batches of the parallel fill — one per fixed-size
     /// rank chunk, merged in chunk order after the workers finish. Kept
     /// so shard capacities, too, survive across fills.
@@ -105,18 +127,6 @@ impl PlanBatch {
         self.bounds.push(self.ids.len() as u32);
     }
 
-    /// Appends a tree-form plan (the multi-limb fallback path).
-    pub(crate) fn push_tree(&mut self, plan: &PlanNode) {
-        fn rec(node: &PlanNode, ids: &mut Vec<PhysId>) {
-            ids.push(node.id);
-            for child in &node.children {
-                rec(child, ids);
-            }
-        }
-        rec(plan, &mut self.ids);
-        self.finish_plan();
-    }
-
     /// Appends every plan of `other` (the parallel-fill merge step).
     pub(crate) fn append_flat(&mut self, other: &PlanBatch) {
         let offset = self.ids.len() as u32;
@@ -131,10 +141,9 @@ impl PlanBatch {
         std::mem::size_of::<Self>()
             + self.ids.capacity() * std::mem::size_of::<PhysId>()
             + self.bounds.capacity() * std::mem::size_of::<u32>()
-            + self.stack.capacity() * std::mem::size_of::<(ListId, u64)>()
-            + self.stack_wide.capacity() * std::mem::size_of::<(ListId, u128)>()
-            + self.ranks.capacity() * std::mem::size_of::<u64>()
-            + self.ranks_wide.capacity() * std::mem::size_of::<u128>()
+            + self.scratch_u64.size_bytes()
+            + self.scratch_u128.size_bytes()
+            + self.scratch_nat.size_bytes()
             + self.shards.iter().map(PlanBatch::size_bytes).sum::<usize>()
             + (self.shards.capacity() - self.shards.len()) * std::mem::size_of::<PlanBatch>()
     }
@@ -153,16 +162,22 @@ mod tests {
     use super::*;
     use crate::paper_example;
     use crate::PlanSpace;
-    use plansample_bignum::Nat;
+
+    /// Appends plan `rank` of the paper example as one batch entry.
+    fn push_rank(batch: &mut PlanBatch, space: &PlanSpace, rank: u64) {
+        let plan = space.unrank(&Nat::from(rank)).unwrap();
+        batch.ids_mut().extend(plan.preorder_ids());
+        batch.finish_plan();
+    }
 
     #[test]
-    fn push_tree_matches_preorder_ids() {
+    fn plans_read_back_in_push_order() {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let mut batch = PlanBatch::new();
         batch.start_fill();
         for r in [0u64, 13, 31] {
-            batch.push_tree(&space.unrank(&Nat::from(r)).unwrap());
+            push_rank(&mut batch, &space, r);
         }
         assert_eq!(batch.len(), 3);
         for (p, r) in [0u64, 13, 31].iter().enumerate() {
@@ -181,11 +196,11 @@ mod tests {
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let mut a = PlanBatch::new();
         a.start_fill();
-        a.push_tree(&space.unrank(&Nat::from(1u64)).unwrap());
+        push_rank(&mut a, &space, 1);
         let mut b = PlanBatch::new();
         b.start_fill();
-        b.push_tree(&space.unrank(&Nat::from(2u64)).unwrap());
-        b.push_tree(&space.unrank(&Nat::from(3u64)).unwrap());
+        push_rank(&mut b, &space, 2);
+        push_rank(&mut b, &space, 3);
         a.append_flat(&b);
         assert_eq!(a.len(), 3);
         assert_eq!(
@@ -204,7 +219,7 @@ mod tests {
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let mut batch = PlanBatch::new();
         batch.start_fill();
-        batch.push_tree(&space.unrank(&Nat::zero()).unwrap());
+        push_rank(&mut batch, &space, 0);
         let cap = batch.ids.capacity();
         assert!(cap > 0);
         batch.clear();

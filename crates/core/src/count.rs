@@ -38,13 +38,9 @@ pub struct Counts {
     list_totals: Vec<Nat>,
     /// `N`: the whole-space total.
     total: Nat,
-    /// Single-limb sidecar for the allocation-free unrank fast path;
-    /// present iff every count in the space fits one `u64` limb.
-    fast: Option<FastCounts>,
-    /// Two-limb sidecar, the middle rung of the tier ladder; built iff
-    /// the single-limb sidecar does not apply but every count fits
-    /// `u128`.
-    wide: Option<WideCounts>,
+    /// The fixed-width mirror the allocation-free unrank tiers run
+    /// on; `None` on the exact-`Nat` rung.
+    sidecar: Option<Sidecar>,
 }
 
 /// Which fixed-width arithmetic the flat unranking hot path can run in
@@ -84,18 +80,20 @@ impl std::fmt::Display for CountTier {
     }
 }
 
-/// Flat `u64` copies of every count — the operands of the fast-path
-/// mixed-radix decomposition, which replaces per-step `Nat` borrows and
-/// comparisons with plain integer arithmetic.
+/// Flat fixed-width copies of every count — the operands of the
+/// fixed-width mixed-radix decomposition, which replaces per-step `Nat`
+/// borrows and comparisons with plain integer arithmetic. One type
+/// serves both rungs of the ladder: `TierCounts<u64>` and
+/// `TierCounts<u128>`.
 ///
-/// The sidecar is built only when **all** per-expression counts and
-/// **all** list totals fit `u64`. Per-value gating would be wrong in
+/// A sidecar is built only when **all** per-expression counts and
+/// **all** list totals fit `T`. Per-value gating would be wrong in
 /// both directions: a space whose total fits can still be probed at any
 /// expression via the rooted sub-space API, and (because a sibling slot
 /// with an *empty* list zeroes a parent product) an individual `N(v)`
 /// can exceed the space total, so "total fits" does not imply "all
-/// values fit". All-or-nothing keeps the criterion one branch on the
-/// hot path.
+/// values fit". All-or-nothing keeps the criterion one branch per
+/// call, decided before the hot loop.
 ///
 /// # Layout
 ///
@@ -104,68 +102,79 @@ impl std::fmt::Display for CountTier {
 /// list pool, so the operator-selection scan over list `l` reads the
 /// contiguous slice at [`Links::list_range`] — the layout the chunked
 /// prefix scan in `unrank.rs` requires (a dense-id-indexed mirror would
-/// force a gather per element). Cost: 8 bytes per *pooled link* + 8 per
-/// interned list, charged to [`Counts::size_bytes`].
+/// force a gather per element). Cost: `size_of::<T>()` bytes per
+/// *pooled link* and per interned list, charged to
+/// [`Counts::size_bytes`].
 #[derive(Debug, Clone)]
-pub(crate) struct FastCounts {
+pub(crate) struct TierCounts<T> {
     /// `N(w)` of each pooled list member, aligned with the links pool.
-    pool: Vec<u64>,
+    pool: Vec<T>,
     /// `b` of each interned list.
-    list_totals: Vec<u64>,
+    list_totals: Vec<T>,
 }
 
-impl FastCounts {
+impl<T: Copy> TierCounts<T> {
+    /// Narrows every count with `narrow`; `None` as soon as one does
+    /// not fit.
+    fn build(
+        links: &Links,
+        per_expr: &[Nat],
+        list_totals: &[Nat],
+        narrow: fn(&Nat) -> Option<T>,
+    ) -> Option<TierCounts<T>> {
+        let per_expr = per_expr.iter().map(narrow).collect::<Option<Vec<T>>>()?;
+        Some(TierCounts {
+            pool: links
+                .pool_exprs()
+                .iter()
+                .map(|&w| per_expr[w.idx()])
+                .collect(),
+            list_totals: list_totals.iter().map(narrow).collect::<Option<_>>()?,
+        })
+    }
+
     /// The member counts of one interned list as a contiguous slice;
     /// `range` must come from [`Links::list_range`].
     #[inline]
-    pub(crate) fn pool_counts(&self, range: std::ops::Range<usize>) -> &[u64] {
+    pub(crate) fn pool_counts(&self, range: std::ops::Range<usize>) -> &[T] {
         &self.pool[range]
     }
 
-    /// `b_v(i)` of one interned list as a single limb.
+    /// `b_v(i)` of one interned list.
     #[inline]
-    pub(crate) fn list_total(&self, l: ListId) -> u64 {
-        self.list_totals[l.idx()]
+    pub(crate) fn list_total(&self, l: ListId) -> &T {
+        &self.list_totals[l.idx()]
     }
 
     /// Heap bytes of the sidecar buffers (the inline struct is already
     /// part of `size_of::<Counts>()`).
     fn size_bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<u64>()
-            + self.list_totals.capacity() * std::mem::size_of::<u64>()
+        (self.pool.capacity() + self.list_totals.capacity()) * std::mem::size_of::<T>()
     }
 }
 
-/// Two-limb (`u128`) mirror of [`FastCounts`] — same all-or-nothing
-/// criterion one rung up the ladder, same pool-aligned layout, double
-/// the bytes per entry. Present only when the `u64` sidecar is not
-/// (the ladder never stores both).
+/// The fixed-width rung a space's counts fit, if any. One enum rather
+/// than two options: the ladder never stores both rungs.
 #[derive(Debug, Clone)]
-pub(crate) struct WideCounts {
-    /// `N(w)` of each pooled list member, aligned with the links pool.
-    pool: Vec<u128>,
-    /// `b` of each interned list.
-    list_totals: Vec<u128>,
+pub(crate) enum Sidecar {
+    /// Every count fits one limb.
+    U64(TierCounts<u64>),
+    /// Some count needs two limbs, none needs three.
+    U128(TierCounts<u128>),
 }
 
-impl WideCounts {
-    /// The member counts of one interned list as a contiguous slice;
-    /// `range` must come from [`Links::list_range`].
-    #[inline]
-    pub(crate) fn pool_counts(&self, range: std::ops::Range<usize>) -> &[u128] {
-        &self.pool[range]
+impl Sidecar {
+    /// The fastest rung every count fits: `u64`, else `u128`, else
+    /// none (shared by [`Counts::compute`] and [`Counts::from_parts`]
+    /// so loaded artifacts get the fixed-width tiers too).
+    fn build(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<Sidecar> {
+        TierCounts::build(links, per_expr, list_totals, Nat::to_u64)
+            .map(Sidecar::U64)
+            .or_else(|| Self::build_u128(links, per_expr, list_totals))
     }
 
-    /// `b_v(i)` of one interned list in two limbs.
-    #[inline]
-    pub(crate) fn list_total(&self, l: ListId) -> u128 {
-        self.list_totals[l.idx()]
-    }
-
-    /// Heap bytes of the sidecar buffers.
-    fn size_bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<u128>()
-            + self.list_totals.capacity() * std::mem::size_of::<u128>()
+    fn build_u128(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<Sidecar> {
+        TierCounts::build(links, per_expr, list_totals, Nat::to_u128).map(Sidecar::U128)
     }
 }
 
@@ -268,66 +277,13 @@ impl Counts {
         }
 
         let total = list_totals[root.idx()].clone();
-        let (fast, wide) = Self::sidecars(links, &per_expr, &list_totals);
+        let sidecar = Sidecar::build(links, &per_expr, &list_totals);
         Counts {
             per_expr,
             list_totals,
             total,
-            fast,
-            wide,
+            sidecar,
         }
-    }
-
-    /// Builds the fixed-width sidecar ladder: the single-limb sidecar
-    /// when every count fits `u64`, else the two-limb sidecar when every
-    /// count fits `u128`, else neither (shared by
-    /// [`compute`](Self::compute) and [`from_parts`](Self::from_parts)
-    /// so loaded artifacts get the fast paths too). At most one rung is
-    /// ever stored.
-    fn sidecars(
-        links: &Links,
-        per_expr: &[Nat],
-        list_totals: &[Nat],
-    ) -> (Option<FastCounts>, Option<WideCounts>) {
-        if let Some(fast) = Self::fast_sidecar(links, per_expr, list_totals) {
-            (Some(fast), None)
-        } else {
-            (None, Self::wide_sidecar(links, per_expr, list_totals))
-        }
-    }
-
-    /// The `u64` rung: all-or-nothing over **every** count (not just the
-    /// pooled ones — the rooted sub-space API can probe any expression),
-    /// then a pool-aligned mirror of the per-alternative counts.
-    fn fast_sidecar(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<FastCounts> {
-        let per_expr: Option<Vec<u64>> = per_expr.iter().map(Nat::to_u64).collect();
-        let per_expr = per_expr?;
-        let list_totals: Option<Vec<u64>> = list_totals.iter().map(Nat::to_u64).collect();
-        let pool = links
-            .pool_exprs()
-            .iter()
-            .map(|&w| per_expr[w.idx()])
-            .collect();
-        Some(FastCounts {
-            pool,
-            list_totals: list_totals?,
-        })
-    }
-
-    /// The `u128` rung, same shape two limbs up.
-    fn wide_sidecar(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<WideCounts> {
-        let per_expr: Option<Vec<u128>> = per_expr.iter().map(Nat::to_u128).collect();
-        let per_expr = per_expr?;
-        let list_totals: Option<Vec<u128>> = list_totals.iter().map(Nat::to_u128).collect();
-        let pool = links
-            .pool_exprs()
-            .iter()
-            .map(|&w| per_expr[w.idx()])
-            .collect();
-        Some(WideCounts {
-            pool,
-            list_totals: list_totals?,
-        })
     }
 
     /// Reassembles counts from raw vectors (the artifact load path).
@@ -351,13 +307,12 @@ impl Counts {
             });
         }
         let total = list_totals[links.root_list().idx()].clone();
-        let (fast, wide) = Self::sidecars(links, &per_expr, &list_totals);
+        let sidecar = Sidecar::build(links, &per_expr, &list_totals);
         Ok(Counts {
             per_expr,
             list_totals,
             total,
-            fast,
-            wide,
+            sidecar,
         })
     }
 
@@ -393,63 +348,37 @@ impl Counts {
         &self.total
     }
 
-    /// Whether the single-limb fast path applies to this space: every
-    /// per-expression count and list total fits one `u64` limb. Spaces
-    /// past ~1.8·10^19 plans (clique-9 and up in the synthetic suite)
-    /// step down the tier ladder instead.
-    pub fn has_fast_path(&self) -> bool {
-        self.fast.is_some()
-    }
-
-    /// Whether the two-limb (`u128`) tier applies: the `u64` sidecar
-    /// does not, but every count fits `u128`. Clique-9 and clique-10
-    /// land here; only spaces past ~3.4·10^38 plans pay the exact-`Nat`
-    /// fallback.
-    pub fn has_wide_path(&self) -> bool {
-        self.wide.is_some()
-    }
-
-    /// Which rung of the tier ladder this space's flat sampler runs on.
+    /// Which rung of the tier ladder this space's unranker runs on.
     pub fn tier(&self) -> CountTier {
-        if self.fast.is_some() {
-            CountTier::U64
-        } else if self.wide.is_some() {
-            CountTier::U128
-        } else {
-            CountTier::Nat
+        match self.sidecar {
+            Some(Sidecar::U64(_)) => CountTier::U64,
+            Some(Sidecar::U128(_)) => CountTier::U128,
+            None => CountTier::Nat,
         }
     }
 
-    /// The single-limb sidecar, when the space qualifies.
+    /// The fixed-width sidecar, when the space sits on one of those
+    /// rungs.
     #[inline]
-    pub(crate) fn fast(&self) -> Option<&FastCounts> {
-        self.fast.as_ref()
+    pub(crate) fn sidecar(&self) -> Option<&Sidecar> {
+        self.sidecar.as_ref()
     }
 
-    /// The two-limb sidecar, when the space sits on that rung.
-    #[inline]
-    pub(crate) fn wide(&self) -> Option<&WideCounts> {
-        self.wide.as_ref()
-    }
-
-    /// Caps the tier ladder at `tier`, dropping (or rebuilding) sidecars
-    /// as needed — a benchmarking/testing seam for exercising the slower
-    /// rungs on spaces that qualify for a faster one. Forcing `U64` is a
-    /// no-op (a space that lacks the sidecar cannot gain it); forcing
-    /// `U128` drops the `u64` sidecar and builds the two-limb one if all
-    /// counts fit; forcing `Nat` drops both.
+    /// Caps the tier ladder at `tier`, dropping (or rebuilding) the
+    /// sidecar as needed — a benchmarking/testing seam for exercising
+    /// the slower rungs on spaces that qualify for a faster one.
+    /// Forcing `U64` is a no-op (a space that lacks the sidecar cannot
+    /// gain it); forcing `U128` replaces a `u64` sidecar with the
+    /// two-limb one; forcing `Nat` drops the sidecar.
     pub(crate) fn force_tier(&mut self, links: &Links, tier: CountTier) {
         match tier {
             CountTier::U64 => {}
             CountTier::U128 => {
-                if self.fast.take().is_some() && self.wide.is_none() {
-                    self.wide = Self::wide_sidecar(links, &self.per_expr, &self.list_totals);
+                if let Some(Sidecar::U64(_)) = self.sidecar {
+                    self.sidecar = Sidecar::build_u128(links, &self.per_expr, &self.list_totals);
                 }
             }
-            CountTier::Nat => {
-                self.fast = None;
-                self.wide = None;
-            }
+            CountTier::Nat => self.sidecar = None,
         }
     }
 
@@ -462,8 +391,11 @@ impl Counts {
             + (self.per_expr.capacity() - self.per_expr.len()) * std::mem::size_of::<Nat>()
             + (self.list_totals.capacity() - self.list_totals.len()) * std::mem::size_of::<Nat>()
             + self.total.size_bytes()
-            + self.fast.as_ref().map_or(0, FastCounts::size_bytes)
-            + self.wide.as_ref().map_or(0, WideCounts::size_bytes)
+            + match &self.sidecar {
+                Some(Sidecar::U64(t)) => t.size_bytes(),
+                Some(Sidecar::U128(t)) => t.size_bytes(),
+                None => 0,
+            }
     }
 }
 
@@ -517,11 +449,12 @@ mod tests {
         let links = Links::build(&ex.memo, &ex.query).unwrap();
         let mut counts = Counts::compute(&links);
         assert_eq!(counts.tier(), CountTier::U64);
-        assert!(counts.has_fast_path() && !counts.has_wide_path());
 
         // The pool mirror is aligned with the links pool: each list's
         // contiguous slice holds exactly its members' rooted counts.
-        let fast = counts.fast().unwrap().clone();
+        let Some(Sidecar::U64(fast)) = counts.sidecar().cloned() else {
+            panic!("the paper example sits on the u64 rung");
+        };
         for (d, _) in links.ids().iter() {
             for &l in links.slot_lists(d) {
                 let mirror = fast.pool_counts(links.list_range(l));
@@ -532,12 +465,14 @@ mod tests {
         }
 
         // Forcing down the ladder rebuilds the wide rung from the exact
-        // counts; forcing to Nat drops every sidecar.
+        // counts; forcing to Nat drops the sidecar.
         counts.force_tier(&links, CountTier::U128);
         assert_eq!(counts.tier(), CountTier::U128);
-        let wide = counts.wide().unwrap();
+        let Some(Sidecar::U128(wide)) = counts.sidecar() else {
+            panic!("forcing U128 builds the two-limb rung");
+        };
         let root = links.root_list();
-        assert_eq!(wide.list_total(root), counts.total().to_u128().unwrap());
+        assert_eq!(*wide.list_total(root), counts.total().to_u128().unwrap());
         counts.force_tier(&links, CountTier::Nat);
         assert_eq!(counts.tier(), CountTier::Nat);
         assert_eq!(counts.tier().as_str(), "nat");

@@ -8,12 +8,10 @@
 //! walking there from zero — pagination over astronomically large spaces
 //! is as cheap as pagination over small ones.
 //!
-//! The historical `enumerate_recursive(limit)` entry point (a direct
-//! recursive cross product over the links that predates the iterator) is
-//! retained for callers but is now a thin wrapper over the same
-//! rank-based traversal; the two independent code paths it used to
-//! cross-check are covered instead by the rank/unrank bijection property
-//! tests and the counting oracle in `tests/joingraph_props.rs`.
+//! Each step is one [`PlanSpace::unrank`] on the space's own count tier;
+//! a capped prefix is `enumerate().take(limit)`. The traversal is
+//! cross-checked by the rank/unrank bijection property tests and the
+//! counting oracle in `tests/joingraph_props.rs`.
 
 use crate::PlanSpace;
 use plansample_bignum::Nat;
@@ -127,17 +125,6 @@ impl PlanSpace {
     pub fn enumerate_from(&self, rank: Nat) -> PlanCursor<'_> {
         PlanCursor::new(self, rank)
     }
-
-    /// Materializes the first `limit` plans of the space.
-    ///
-    /// Historical API: this was once an independent recursive enumerator
-    /// used as an oracle against [`enumerate`](Self::enumerate); the two
-    /// traversals are now consolidated on the rank-based cursor, and this
-    /// wrapper survives for callers that want an eagerly collected,
-    /// capped prefix.
-    pub fn enumerate_recursive(&self, limit: usize) -> Vec<PlanNode> {
-        self.enumerate().take(limit).collect()
-    }
 }
 
 #[cfg(test)]
@@ -219,11 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn limit_caps_recursive_enumeration() {
+    fn take_caps_enumeration() {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
-        assert_eq!(space.enumerate_recursive(5).len(), 5);
-        assert_eq!(space.enumerate_recursive(0).len(), 0);
-        assert_eq!(space.enumerate_recursive(1000).len(), 32);
+        assert_eq!(space.enumerate().take(5).count(), 5);
+        assert_eq!(space.enumerate().take(0).count(), 0);
+        assert_eq!(space.enumerate().take(1000).count(), 32);
     }
 }

@@ -6,6 +6,13 @@
 //! [`Nat::random_below`] and unranks it — every plan has probability
 //! exactly `1/N`.
 //!
+//! Batches draw every rank with the space's own tier arithmetic
+//! ([`Nat::random_below_u64`] / [`Nat::random_below_u128`] replay
+//! `random_below`'s RNG consumption) and run the one unranker of
+//! `unrank.rs` into a flat [`PlanBatch`]: [`PlanSpace::sample_batch_flat`]
+//! is written once, generic over the tier, and dispatched once per call;
+//! [`PlanSpace::sample_batch`] is that fill plus a tree per plan.
+//!
 //! [`PlanSpace::sample_naive_walk`] is the obvious-but-wrong alternative
 //! kept as a measurable baseline: walk the memo top-down picking
 //! *operators* uniformly at each step. Because a subtree's probability
@@ -15,6 +22,8 @@
 //! accepts the unranking sampler and rejects the naive walk — the reason
 //! the paper needs the counting machinery at all.
 
+use crate::count::Sidecar;
+use crate::unrank::Count;
 use crate::{PlanBatch, PlanSpace};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PlanNode};
@@ -43,25 +52,17 @@ impl PlanSpace {
     /// point of the prepared-query serving surface: amortizes the memo
     /// preparation over arbitrarily many draws.
     ///
-    /// Large batches unrank in parallel over the `threadpool` workers.
-    /// The caller's RNG is consumed exactly as the sequential loop
-    /// consumes it — all `k` ranks are drawn up front, then unranked
-    /// (the deterministic, side-effect-free part) concurrently — so the
-    /// returned batch is identical at every thread count.
+    /// The plans are exactly [`sample_batch_flat`](Self::sample_batch_flat)'s
+    /// on the same RNG, rebuilt as trees (in parallel for large
+    /// batches), so the batch is identical at every thread count and on
+    /// every tier.
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
     pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<PlanNode> {
-        assert!(
-            k == 0 || !self.total().is_zero(),
-            "cannot sample from an empty plan space"
-        );
-        let ranks: Vec<Nat> = (0..k)
-            .map(|_| Nat::random_below(rng, self.total()))
-            .collect();
-        threadpool::parallel_map(k, Self::PAR_MIN_DRAWS, |i| {
-            self.unrank(&ranks[i]).expect("rank drawn below the total")
-        })
+        let mut batch = PlanBatch::new();
+        self.sample_batch_flat(rng, k, &mut batch);
+        threadpool::parallel_map(k, Self::PAR_MIN_DRAWS, |i| self.build_tree(batch.plan(i)))
     }
 
     /// Draws `k` plans uniformly into a reusable flat batch — the
@@ -70,22 +71,20 @@ impl PlanSpace {
     /// The fill runs on the fastest rung of the tier ladder the space
     /// qualifies for (see [`crate::Counts::tier`]): single-limb spaces
     /// unrank in `u64`, two-limb spaces (clique-9/10 scale) in `u128`,
-    /// and only wider spaces pay the exact [`Nat`] fallback with its
-    /// tree flattening. On both fixed-width tiers each draw is a
+    /// and only wider spaces pay exact [`Nat`] arithmetic. Each draw is a
     /// rejection-sampled rank plus the mixed-radix unrank appended
-    /// straight into `out`'s buffers: once those are at capacity, a
-    /// steady-state fill performs **zero heap allocations per draw**
-    /// (asserted by `tests/alloc_counting.rs`).
+    /// straight into `out`'s buffers: on both fixed-width tiers, once
+    /// those are at capacity, a steady-state fill performs **zero heap
+    /// allocations per draw** (asserted by `tests/alloc_counting.rs`).
     ///
-    /// The RNG is consumed exactly as [`sample_batch`](Self::sample_batch)
-    /// consumes it ([`Nat::random_below_u64`] and
-    /// [`Nat::random_below_u128`] replay `random_below`'s draw sequence
-    /// limb for limb), and large batches fan the unranking out in
-    /// fixed-size chunks over the persistent worker pool — written into
-    /// `out`'s own per-chunk shard batches and merged in draw order —
-    /// so the batch content is bit-identical to `sample_batch`'s at
-    /// every thread count, and parallel fills stay allocation-free in
-    /// steady state too.
+    /// The RNG is consumed exactly as [`Nat::random_below`] consumes it
+    /// on every tier ([`Nat::random_below_u64`] and
+    /// [`Nat::random_below_u128`] replay its draw sequence limb for
+    /// limb), and large batches fan the unranking out in fixed-size
+    /// chunks over the persistent worker pool — written into `out`'s own
+    /// per-chunk shard batches and merged in draw order — so the batch
+    /// content is bit-identical on every tier and at every thread count,
+    /// and parallel fills stay allocation-free in steady state too.
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
@@ -96,77 +95,55 @@ impl PlanSpace {
         );
         out.start_fill();
         let inline = threadpool::num_threads() == 1 || k < 2 * Self::PAR_MIN_DRAWS;
-        if let Some(fast) = self.counts.fast() {
-            let total = self
-                .total()
-                .to_u64()
-                .expect("the fast sidecar implies a single-limb total");
-            if inline {
-                // Inline fill: draw and unrank per plan, nothing but
-                // `out`'s own (reused) buffers touched.
-                let mut stack = std::mem::take(&mut out.stack);
-                for _ in 0..k {
-                    let rank = Nat::random_below_u64(rng, total);
-                    self.unrank_flat_u64(fast, rank, out.ids_mut(), &mut stack);
-                    out.finish_plan();
-                }
-                out.stack = stack;
-                return;
-            }
-            // Parallel fill: ranks up front (same RNG order as above),
-            // then fixed-size chunks unranked concurrently into `out`'s
-            // persistent shards and merged in draw order. The chunk size
-            // is independent of the worker count, so the merged content
-            // never depends on it.
-            let mut ranks = std::mem::take(&mut out.ranks);
-            ranks.clear();
-            ranks.extend((0..k).map(|_| Nat::random_below_u64(rng, total)));
-            Self::fill_shards(k, out, |part, c| {
-                part.start_fill();
-                let mut stack = std::mem::take(&mut part.stack);
-                let lo = c * Self::PAR_MIN_DRAWS;
-                for &rank in &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)] {
-                    self.unrank_flat_u64(fast, rank, part.ids_mut(), &mut stack);
-                    part.finish_plan();
-                }
-                part.stack = stack;
-            });
-            out.ranks = ranks;
-        } else if let Some(wide) = self.counts.wide() {
-            // The u128 tier: same structure two limbs up.
-            let total = self
-                .total()
-                .to_u128()
-                .expect("the wide sidecar implies a two-limb total");
-            if inline {
-                let mut stack = std::mem::take(&mut out.stack_wide);
-                for _ in 0..k {
-                    let rank = Nat::random_below_u128(rng, total);
-                    self.unrank_flat_u128(wide, rank, out.ids_mut(), &mut stack);
-                    out.finish_plan();
-                }
-                out.stack_wide = stack;
-                return;
-            }
-            let mut ranks = std::mem::take(&mut out.ranks_wide);
-            ranks.clear();
-            ranks.extend((0..k).map(|_| Nat::random_below_u128(rng, total)));
-            Self::fill_shards(k, out, |part, c| {
-                part.start_fill();
-                let mut stack = std::mem::take(&mut part.stack_wide);
-                let lo = c * Self::PAR_MIN_DRAWS;
-                for &rank in &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)] {
-                    self.unrank_flat_u128(wide, rank, part.ids_mut(), &mut stack);
-                    part.finish_plan();
-                }
-                part.stack_wide = stack;
-            });
-            out.ranks_wide = ranks;
-        } else {
-            for plan in self.sample_batch(rng, k) {
-                out.push_tree(&plan);
-            }
+        match self.counts.sidecar() {
+            Some(Sidecar::U64(t)) => self.fill::<u64, R>(t, rng, k, out, inline),
+            Some(Sidecar::U128(t)) => self.fill::<u128, R>(t, rng, k, out, inline),
+            None => self.fill::<Nat, R>(&self.counts, rng, k, out, inline),
         }
+    }
+
+    /// The body of [`sample_batch_flat`](Self::sample_batch_flat) in one
+    /// tier's arithmetic `C`.
+    fn fill<C: Count, R: Rng + ?Sized>(
+        &self,
+        table: &C::Table,
+        rng: &mut R,
+        k: usize,
+        out: &mut PlanBatch,
+        inline: bool,
+    ) {
+        let total = C::narrow(self.total());
+        if inline {
+            // Inline fill: draw and unrank per plan, nothing but `out`'s
+            // own (reused) buffers touched.
+            let mut stack = std::mem::take(&mut C::scratch(out).stack);
+            for _ in 0..k {
+                let rank = C::draw(rng, &total);
+                self.unrank_flat(table, None, rank, out.ids_mut(), &mut stack);
+                out.finish_plan();
+            }
+            C::scratch(out).stack = stack;
+            return;
+        }
+        // Parallel fill: ranks up front (same RNG order as above), then
+        // fixed-size chunks unranked concurrently into `out`'s
+        // persistent shards and merged in draw order. The chunk size is
+        // independent of the worker count, so the merged content never
+        // depends on it.
+        let mut ranks = std::mem::take(&mut C::scratch(out).ranks);
+        ranks.extend((0..k).map(|_| C::draw(rng, &total)));
+        Self::fill_shards(k, out, |part, c| {
+            part.start_fill();
+            let mut stack = std::mem::take(&mut C::scratch(part).stack);
+            let lo = c * Self::PAR_MIN_DRAWS;
+            for rank in &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)] {
+                self.unrank_flat(table, None, rank.clone(), part.ids_mut(), &mut stack);
+                part.finish_plan();
+            }
+            C::scratch(part).stack = stack;
+        });
+        ranks.clear();
+        C::scratch(out).ranks = ranks;
     }
 
     /// Fans a parallel flat fill out over `out`'s persistent shard
@@ -215,12 +192,6 @@ impl PlanSpace {
         out.shards = shards;
     }
 
-    /// Alias of [`sample_batch`](Self::sample_batch), kept for the
-    /// pre-prepared-query API surface.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<PlanNode> {
-        self.sample_batch(rng, k)
-    }
-
     /// Biased baseline: pick an operator uniformly among the group's (or
     /// slot's) alternatives at every step, ignoring subtree counts.
     /// Returns `None` if the walk reaches an operator with an
@@ -266,7 +237,7 @@ mod tests {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        for plan in space.sample_many(&mut rng, 200) {
+        for plan in space.sample_batch(&mut rng, 200) {
             assert!(validate_plan(&ex.memo, &ex.query, &plan).is_empty());
         }
     }
@@ -324,35 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_batch_matches_tree_batch_at_every_thread_count() {
-        let ex = paper_example::build();
-        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
-        assert!(space.counts().has_fast_path());
-        let trees = {
-            let mut rng = StdRng::seed_from_u64(11);
-            space.sample_batch(&mut rng, 600)
-        };
-        for threads in [1, 2, 4] {
-            let mut batch = crate::PlanBatch::new();
-            let mut rng = StdRng::seed_from_u64(11);
-            threadpool::with_threads(threads, || {
-                space.sample_batch_flat(&mut rng, 600, &mut batch)
-            });
-            assert_eq!(batch.len(), 600);
-            for (flat, tree) in batch.iter().zip(&trees) {
-                assert_eq!(flat, tree.preorder_ids().as_slice(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn sampling_respects_the_seed() {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let a: Vec<Nat> = {
             let mut rng = StdRng::seed_from_u64(1);
             space
-                .sample_many(&mut rng, 10)
+                .sample_batch(&mut rng, 10)
                 .iter()
                 .map(|p| space.rank(p).unwrap())
                 .collect()
@@ -360,7 +309,7 @@ mod tests {
         let b: Vec<Nat> = {
             let mut rng = StdRng::seed_from_u64(1);
             space
-                .sample_many(&mut rng, 10)
+                .sample_batch(&mut rng, 10)
                 .iter()
                 .map(|p| space.rank(p).unwrap())
                 .collect()

@@ -23,7 +23,7 @@ impl PlanSpace {
                 total: self.count_rooted(v).clone(),
             });
         }
-        Ok(self.unrank_expr(self.links.ids().dense(v), rank.clone()))
+        Ok(self.unrank_tree(Some(self.links.ids().dense(v)), rank))
     }
 
     /// Uniform sample from the sub-space rooted at `v`.
@@ -34,7 +34,7 @@ impl PlanSpace {
         let n = self.count_rooted(v);
         assert!(!n.is_zero(), "expression {v} roots no complete plan");
         let rank = Nat::random_below(rng, n);
-        self.unrank_expr(self.links.ids().dense(v), rank)
+        self.unrank_tree(Some(self.links.ids().dense(v)), &rank)
     }
 
     /// The rank of `plan` within the sub-space rooted at its own root

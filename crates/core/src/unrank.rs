@@ -21,15 +21,25 @@
 //! mixed-radix decomposition divides by is precomputed per interned
 //! alternative list ([`crate::Counts::list_total`]), so no step re-sums
 //! alternative counts.
+//!
+//! There is one unranker, [`PlanSpace::unrank_flat`]: step 3 runs on an
+//! explicit stack and the plan comes out as preorder ids. It is generic
+//! over [`Count`], one rung of the tier ladder (DESIGN.md §11). Every
+//! tree-returning entry point (`unrank`, `unrank_rooted`, `sample`,
+//! `sample_rooted`, `sample_batch`, the enumeration cursor) is that flat
+//! unrank plus [`PlanSpace::build_tree`].
 
-use crate::count::{FastCounts, WideCounts};
+use crate::count::{Sidecar, TierCounts};
 use crate::links::ListId;
-use crate::{PlanSpace, SpaceError};
+use crate::{batch::Scratch, Counts, Links, PlanBatch, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PhysId, PlanNode};
+use rand::Rng;
+use std::ops::{Add, Mul, Sub};
 
-/// Operator selection over one list's contiguous pool-aligned counts:
-/// returns the chosen index and the residual rank within it.
+/// Operator selection over one list's contiguous pool-aligned
+/// fixed-width counts: returns the chosen index and the residual rank
+/// within it.
 ///
 /// Instead of the naive per-element `if rank < n {break} rank -= n`
 /// (one unpredictable branch per alternative), the scan works in
@@ -46,42 +56,130 @@ use plansample_memo::{DenseId, PhysId, PlanNode};
 /// are skipped exactly as the scalar scan skips them, so the chosen
 /// index is identical — differential-tested below against the scalar
 /// reference.
-macro_rules! chunked_select {
-    ($name:ident, $t:ty) => {
-        #[inline]
-        fn $name(counts: &[$t], mut rank: $t) -> (usize, $t) {
-            let mut base = 0usize;
-            let mut chunks = counts.chunks_exact(8);
-            for c in &mut chunks {
-                let sum = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]));
-                if rank < sum {
-                    let mut acc: $t = 0;
-                    let mut idx = 0usize;
-                    let mut below: $t = 0;
-                    for &n in c {
-                        acc += n;
-                        let take = (rank >= acc) as usize;
-                        idx += take;
-                        below += n * (take as $t);
-                    }
-                    return (base + idx, rank - below);
-                }
-                rank -= sum;
-                base += 8;
+#[inline]
+fn chunked_select<T>(counts: &[T], mut rank: T) -> (usize, T)
+where
+    T: Copy + Ord + Default + From<bool> + Add<Output = T> + Sub<Output = T> + Mul<Output = T>,
+{
+    let mut base = 0usize;
+    let mut chunks = counts.chunks_exact(8);
+    for c in &mut chunks {
+        let sum = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]));
+        if rank < sum {
+            let mut acc = T::default();
+            let mut idx = 0usize;
+            let mut below = T::default();
+            for &n in c {
+                acc = acc + n;
+                let take = rank >= acc;
+                idx += take as usize;
+                below = below + n * T::from(take);
             }
-            let tail = chunks.remainder();
-            let mut i = 0usize;
-            while rank >= tail[i] {
-                rank -= tail[i];
-                i += 1;
+            return (base + idx, rank - below);
+        }
+        rank = rank - sum;
+        base += 8;
+    }
+    let tail = chunks.remainder();
+    let mut i = 0usize;
+    while rank >= tail[i] {
+        rank = rank - tail[i];
+        i += 1;
+    }
+    (base + i, rank)
+}
+
+/// The arithmetic of one rung of the tier ladder — `u64`, `u128` or
+/// exact [`Nat`]: each method is one step of the algorithm above, so
+/// the unranker itself is written once.
+pub(crate) trait Count: Clone + Default + PartialEq + Send + Sync {
+    /// Where the rung reads counts: a pool-aligned [`TierCounts`]
+    /// mirror on the fixed widths, the exact [`Counts`] on `Nat`.
+    type Table: Sync;
+    /// A value known to fit the rung (all counts do, by construction).
+    fn narrow(n: &Nat) -> Self;
+    /// A uniform rank below `bound`, with [`Nat::random_below`]'s exact
+    /// RNG consumption.
+    fn draw<R: Rng + ?Sized>(rng: &mut R, bound: &Self) -> Self;
+    /// Step 1: the member of list `l` that `rank` falls in, and the rank
+    /// left within it.
+    fn select(table: &Self::Table, links: &Links, l: ListId, rank: Self) -> (usize, Self);
+    /// `b` of list `l`, the radix of its slot's digit.
+    fn list_total(table: &Self::Table, l: ListId) -> &Self;
+    /// Step 2, one digit: leaves `self / b` in place, returns `self % b`.
+    fn div_rem_assign(&mut self, b: &Self) -> Self;
+    /// The rung's reusable buffers in a [`PlanBatch`].
+    fn scratch(batch: &mut PlanBatch) -> &mut Scratch<Self>;
+}
+
+/// The two fixed-width rungs, identical up to width.
+macro_rules! fixed_width_count {
+    ($t:ty, $narrow:ident, $draw:ident, $scratch:ident) => {
+        impl Count for $t {
+            type Table = TierCounts<$t>;
+            fn narrow(n: &Nat) -> $t {
+                n.$narrow()
+                    .expect("a fixed-width sidecar implies every count fits")
             }
-            (base + i, rank)
+            #[inline]
+            fn draw<R: Rng + ?Sized>(rng: &mut R, bound: &$t) -> $t {
+                Nat::$draw(rng, *bound)
+            }
+            #[inline]
+            fn select(table: &TierCounts<$t>, links: &Links, l: ListId, rank: $t) -> (usize, $t) {
+                chunked_select(table.pool_counts(links.list_range(l)), rank)
+            }
+            #[inline]
+            fn list_total(table: &TierCounts<$t>, l: ListId) -> &$t {
+                table.list_total(l)
+            }
+            #[inline]
+            fn div_rem_assign(&mut self, b: &$t) -> $t {
+                let digit = *self % b;
+                *self /= b;
+                digit
+            }
+            fn scratch(batch: &mut PlanBatch) -> &mut Scratch<$t> {
+                &mut batch.$scratch
+            }
         }
     };
 }
 
-chunked_select!(select_in_list_u64, u64);
-chunked_select!(select_in_list_u128, u128);
+fixed_width_count!(u64, to_u64, random_below_u64, scratch_u64);
+fixed_width_count!(u128, to_u128, random_below_u128, scratch_u128);
+
+impl Count for Nat {
+    type Table = Counts;
+    fn narrow(n: &Nat) -> Nat {
+        n.clone()
+    }
+    fn draw<R: Rng + ?Sized>(rng: &mut R, bound: &Nat) -> Nat {
+        Nat::random_below(rng, bound)
+    }
+    /// A scalar scan: the members' counts are not contiguous here.
+    fn select(counts: &Counts, links: &Links, l: ListId, mut rank: Nat) -> (usize, Nat) {
+        for (i, &w) in links.list(l).iter().enumerate() {
+            let n = counts.rooted(w);
+            if &rank < n {
+                return (i, rank);
+            }
+            rank -= n;
+        }
+        unreachable!("rank below the list total by construction")
+    }
+    fn list_total(counts: &Counts, l: ListId) -> &Nat {
+        counts.list_total(l)
+    }
+    fn div_rem_assign(&mut self, b: &Nat) -> Nat {
+        let (quotient, digit) = Nat::div_rem(self, b);
+        *self = quotient;
+        digit
+    }
+    fn scratch(batch: &mut PlanBatch) -> &mut Scratch<Nat> {
+        &mut batch.scratch_nat
+    }
+}
 
 impl PlanSpace {
     /// Builds plan number `rank` (0-based, `rank < total()`).
@@ -92,118 +190,85 @@ impl PlanSpace {
                 total: self.counts.total().clone(),
             });
         }
-        Ok(self.unrank_in(self.links.list(self.links.root_list()), rank.clone()))
+        Ok(self.unrank_tree(None, rank))
     }
 
-    /// Step 1: operator selection within an alternative list.
-    fn unrank_in(&self, alternatives: &[DenseId], mut rank: Nat) -> PlanNode {
-        for &v in alternatives {
-            let n = self.counts.rooted(v);
-            if &rank < n {
-                return self.unrank_expr(v, rank);
+    /// [`unrank_flat`](Self::unrank_flat) on the space's own tier, then
+    /// the tree. The caller guarantees `rank` is in range.
+    pub(crate) fn unrank_tree(&self, root: Option<DenseId>, rank: &Nat) -> PlanNode {
+        let mut ids = Vec::new();
+        match self.counts.sidecar() {
+            Some(Sidecar::U64(t)) => {
+                self.unrank_flat(t, root, u64::narrow(rank), &mut ids, &mut vec![])
             }
-            rank -= n;
+            Some(Sidecar::U128(t)) => {
+                self.unrank_flat(t, root, u128::narrow(rank), &mut ids, &mut vec![])
+            }
+            None => self.unrank_flat(&self.counts, root, rank.clone(), &mut ids, &mut vec![]),
         }
-        unreachable!("rank below the alternative total by construction")
+        self.build_tree(&ids)
     }
 
-    /// Steps 2–3: sub-rank decomposition and recursive assembly.
-    pub(crate) fn unrank_expr(&self, v: DenseId, local_rank: Nat) -> PlanNode {
-        let lists = self.links.slot_lists(v);
-        let mut children = Vec::with_capacity(lists.len());
-        let mut rest = local_rank;
-        for &l in lists {
-            // digit s_v(i) = rest mod b_v(i); carry rest / b_v(i) onward.
-            let (q, s) = rest.div_rem(self.counts.list_total(l));
-            rest = q;
-            children.push(self.unrank_in(self.links.list(l), s));
-        }
-        debug_assert!(rest.is_zero(), "local rank exceeded B_v(|v|)");
-        PlanNode {
-            id: self.links.ids().phys(v),
-            children,
-        }
-    }
-
-    /// The `u64` specialization: same three steps, but every count the
-    /// decomposition touches is a single limb ([`FastCounts`]), the
-    /// recursion is an explicit stack, and the plan is emitted as a flat
-    /// **preorder id sequence** appended to `ids` — no `PlanNode`
-    /// allocation per node, no `Nat` borrow per comparison. With `ids`
-    /// and `stack` at capacity this performs zero heap allocations
-    /// (asserted by `tests/alloc_counting.rs`).
-    ///
-    /// Bit-identical to [`unrank_expr`](Self::unrank_expr) by
-    /// construction: the operator scan and the mixed-radix digits use
-    /// the same values in the same order, only in `u64` arithmetic —
-    /// differential-tested in `tests/unrank_fast_path.rs`.
-    ///
-    /// The caller guarantees `rank` is below the space total.
-    pub(crate) fn unrank_flat_u64(
+    /// The unranker: the three steps above in `C`'s arithmetic, on an
+    /// explicit stack, appending the plan's **preorder ids** to `ids`.
+    /// `root` pins the root expression (the rooted sub-space API);
+    /// `None` unranks over the whole space. On the fixed-width rungs,
+    /// with `ids` and `stack` at capacity, this allocates nothing
+    /// (asserted by `tests/alloc_counting.rs`). Every rung yields the
+    /// same plan for the same rank — the same values in the same order,
+    /// only in different widths — differential-tested against a
+    /// recursive exact-`Nat` reference in `tests/unrank_fast_path.rs`.
+    pub(crate) fn unrank_flat<C: Count>(
         &self,
-        fast: &FastCounts,
-        rank: u64,
+        table: &C::Table,
+        root: Option<DenseId>,
+        rank: C,
         ids: &mut Vec<PhysId>,
-        stack: &mut Vec<(ListId, u64)>,
+        stack: &mut Vec<(ListId, C)>,
     ) {
+        // Step 1: operator selection within a list.
+        let pick = |list: ListId, rank: C| {
+            let (idx, rank) = C::select(table, &self.links, list, rank);
+            (self.links.list(list)[idx], rank)
+        };
+        let (mut v, mut rank) = match root {
+            Some(v) => (v, rank),
+            None => pick(self.links.root_list(), rank),
+        };
         stack.clear();
-        stack.push((self.links.root_list(), rank));
-        while let Some((list, rank)) = stack.pop() {
-            // Step 1: operator selection by chunked prefix scan over the
-            // list's contiguous pool-aligned counts.
-            let (idx, rank) =
-                select_in_list_u64(fast.pool_counts(self.links.list_range(list)), rank);
-            let v = self.links.list(list)[idx];
+        loop {
             ids.push(self.links.ids().phys(v));
-            // Step 2: mixed-radix digits, one div/mod per slot. Children
-            // are emitted depth-first in slot order, so the (list, digit)
-            // frames go on the stack reversed — slot 0 pops first and
-            // its whole subtree lands before slot 1's.
+            // Step 2: one mixed-radix digit per slot. Children are
+            // emitted depth-first in slot order, so the (list, digit)
+            // frames go on the stack reversed — slot 0 pops first and its
+            // whole subtree lands before slot 1's.
             let base = stack.len();
-            let mut rest = rank;
             for &l in self.links.slot_lists(v) {
-                let b = fast.list_total(l);
-                stack.push((l, rest % b));
-                rest /= b;
+                let digit = rank.div_rem_assign(C::list_total(table, l));
+                stack.push((l, digit));
             }
-            debug_assert_eq!(rest, 0, "local rank exceeded B_v(|v|)");
+            debug_assert!(rank == C::default(), "local rank exceeded B_v(|v|)");
             stack[base..].reverse();
+            // Step 3: the next digit, unranked within its slot's list.
+            let Some((list, digit)) = stack.pop() else {
+                return;
+            };
+            (v, rank) = pick(list, digit);
         }
     }
 
-    /// The `u128` specialization: identical structure to
-    /// [`unrank_flat_u64`](Self::unrank_flat_u64) one rung up the tier
-    /// ladder — two-limb counts ([`WideCounts`]), `u128` ranks and
-    /// digits, the same chunked operator scan, the same explicit stack,
-    /// zero heap allocations at capacity. Bit-identical to the exact
-    /// [`Nat`] path by the same argument, differential-tested in
-    /// `tests/unrank_fast_path.rs`.
-    ///
-    /// The caller guarantees `rank` is below the space total.
-    pub(crate) fn unrank_flat_u128(
-        &self,
-        wide: &WideCounts,
-        rank: u128,
-        ids: &mut Vec<PhysId>,
-        stack: &mut Vec<(ListId, u128)>,
-    ) {
-        stack.clear();
-        stack.push((self.links.root_list(), rank));
-        while let Some((list, rank)) = stack.pop() {
-            let (idx, rank) =
-                select_in_list_u128(wide.pool_counts(self.links.list_range(list)), rank);
-            let v = self.links.list(list)[idx];
-            ids.push(self.links.ids().phys(v));
-            let base = stack.len();
-            let mut rest = rank;
-            for &l in self.links.slot_lists(v) {
-                let b = wide.list_total(l);
-                stack.push((l, rest % b));
-                rest /= b;
-            }
-            debug_assert_eq!(rest, 0, "local rank exceeded B_v(|v|)");
-            stack[base..].reverse();
+    /// Rebuilds the tree of one preorder id sequence; each operator's
+    /// arity ([`Links::arity_of`]) says how many subtrees follow it.
+    pub(crate) fn build_tree(&self, ids: &[PhysId]) -> PlanNode {
+        fn node(links: &Links, ids: &mut std::slice::Iter<'_, PhysId>) -> PlanNode {
+            let id = *ids.next().expect("a preorder listing fills every slot");
+            let children = (0..links.arity_of(id)).map(|_| node(links, ids)).collect();
+            PlanNode { id, children }
         }
+        let mut rest = ids.iter();
+        let plan = node(&self.links, &mut rest);
+        debug_assert!(rest.next().is_none(), "one plan per preorder listing");
+        plan
     }
 }
 
@@ -334,12 +399,12 @@ mod tests {
                     let rank = (probe * (total / total.clamp(1, 64))).min(total - 1);
                     let expect = select_scalar(&wide, rank as u128);
                     assert_eq!(
-                        select_in_list_u64(&counts, rank),
+                        chunked_select(&counts, rank),
                         (expect.0, expect.1 as u64),
                         "u64 diverged on {counts:?} rank {rank}"
                     );
                     assert_eq!(
-                        select_in_list_u128(&wide, rank as u128),
+                        chunked_select(&wide, rank as u128),
                         expect,
                         "u128 diverged on {counts:?} rank {rank}"
                     );
@@ -355,7 +420,7 @@ mod tests {
         let total: u128 = counts.iter().sum();
         for rank in [0u128, 1, big - 1, big, big + 2, big + 3, total - 1] {
             assert_eq!(
-                select_in_list_u128(&counts, rank),
+                chunked_select(&counts, rank),
                 select_scalar(&counts, rank),
                 "diverged at rank {rank}"
             );
@@ -368,5 +433,28 @@ mod tests {
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let plan = space.unrank(&Nat::from(31u64)).unwrap();
         assert_eq!(plan.id, ex.root_ab_c); // 7.8-analogue covers 16..31
+    }
+
+    #[test]
+    fn build_tree_inverts_preorder_ids() {
+        let ex = paper_example::build();
+        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+        for r in 0..32u64 {
+            let plan = space.unrank(&Nat::from(r)).unwrap();
+            assert_eq!(space.build_tree(&plan.preorder_ids()), plan, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn every_rung_unranks_every_rank_alike() {
+        let ex = paper_example::build();
+        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+        let plans: Vec<_> = space.enumerate().collect();
+        for tier in [crate::CountTier::U128, crate::CountTier::Nat] {
+            let mut forced = space.clone();
+            forced.force_tier(tier);
+            assert_eq!(forced.counts().tier(), tier);
+            assert_eq!(forced.enumerate().collect::<Vec<_>>(), plans, "{tier}");
+        }
     }
 }

@@ -1,13 +1,18 @@
 //! Edge cases of the counting/unranking machinery: dead (zero-plan)
 //! expressions, degenerate one-plan spaces, deep chains, and restricted
-//! optimizer configurations.
+//! optimizer configurations — plus the flat batch sampler held to the
+//! workspace's test-owned reference unranker.
 
-use plansample::{PlanSpace, SpaceError};
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use plansample::{paper_example, CountTier, PlanBatch, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_catalog::{table, Catalog, ColType};
 use plansample_memo::{validate_plan, GroupKey, Memo, PhysicalExpr, PhysicalOp};
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::{ColRef, QueryBuilder, QuerySpec, RelId, RelSet};
+use rand::SeedableRng;
 
 /// One relation, one unsatisfiable merge join: the dead expression must
 /// count zero and never be produced by unranking.
@@ -90,7 +95,6 @@ fn dead_expressions_count_zero_and_are_skipped() {
     assert!(space.unrank(&Nat::one()).is_err());
     // Enumeration agrees.
     assert_eq!(space.enumerate().count(), 1);
-    assert_eq!(space.enumerate_recursive(usize::MAX).len(), 1);
 }
 
 #[test]
@@ -288,4 +292,26 @@ fn aggregate_space_includes_both_agg_implementations() {
     }
     assert!(names.contains("HashAgg"));
     assert!(names.contains("StreamAgg"));
+}
+
+/// The flat batch sampler reproduces the reference unranker's plans on
+/// the same seed at every thread count (600 draws, so multi-thread runs
+/// take the parallel shard fill).
+#[test]
+fn flat_batch_matches_tree_batch_at_every_thread_count() {
+    let ex = paper_example::build();
+    let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+    assert_eq!(space.counts().tier(), CountTier::U64);
+    let reference = common::reference_sample(&space, 11, 600);
+    for threads in [1, 2, 4] {
+        let mut batch = PlanBatch::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        threadpool::with_threads(threads, || {
+            space.sample_batch_flat(&mut rng, 600, &mut batch)
+        });
+        assert_eq!(batch.len(), 600);
+        for (flat, tree) in batch.iter().zip(&reference) {
+            assert_eq!(flat, tree.preorder_ids().as_slice(), "{threads} threads");
+        }
+    }
 }

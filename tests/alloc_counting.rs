@@ -27,7 +27,7 @@
 //! same plans, same warmed buffers — so an allocation it made itself
 //! would appear in every repetition; only outside noise can differ.
 
-use plansample::{PlanBatch, PlanSpace};
+use plansample::{CountTier, PlanBatch, PlanSpace};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,8 +96,9 @@ fn steady_state_flat_sampling_allocates_nothing() {
     // u64 fast path.
     let (_, query, memo) = JoinGraphSpec::new(Topology::Chain, 6, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("chain-6 builds");
-    assert!(
-        space.counts().has_fast_path(),
+    assert_eq!(
+        space.counts().tier(),
+        CountTier::U64,
         "chain-6 must be single-limb"
     );
 
@@ -140,7 +141,7 @@ fn steady_state_u128_tier_sampling_allocates_nothing() {
             let (_, query, memo) = JoinGraphSpec::new(Topology::Chain, rels, 20000).build_memo();
             let space =
                 PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("chain builds");
-            (!space.counts().has_fast_path() && space.counts().has_wide_path()).then_some(space)
+            (space.counts().tier() == CountTier::U128).then_some(space)
         })
         .expect("some chain under 24 relations needs exactly two limbs");
 

@@ -1,5 +1,7 @@
 //! Shared helpers for the statistical validation suites: building
-//! synthetic spaces and collecting sampling frequency spectra.
+//! synthetic spaces and collecting sampling frequency spectra, plus the
+//! test-owned reference unranker the differential suites compare the
+//! library's tiered unranker against.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
@@ -7,10 +9,11 @@ use plansample::PlanSpace;
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
 use plansample_datagen::joingraph::JoinGraphSpec;
-use plansample_memo::Memo;
+use plansample_memo::{DenseId, Memo, PhysId, PlanNode};
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::QuerySpec;
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A synthetic join-graph query optimized into a memo, with the plan
 /// space built exactly once (the expensive counting pass is shared by
@@ -201,7 +204,6 @@ pub fn stats_seed() -> u64 {
 
 /// Derives a per-test rng so suites stay independent of test ordering.
 pub fn seeded_rng(salt: u64) -> StdRng {
-    use rand::SeedableRng;
     StdRng::seed_from_u64(stats_seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -220,4 +222,64 @@ pub fn gate(test: &str) -> bool {
         eprintln!("{test}: skipped (set PLANSAMPLE_STATISTICAL=1 to run)");
         false
     }
+}
+
+/// Reference unranker: paper §3.3 as a plain recursion in exact `Nat`
+/// arithmetic over the public API — select the operator by prefix sums
+/// over [`plansample::Counts::rooted`], split the local rank into one
+/// mixed-radix digit per slot, recurse. It shares no code with the
+/// library's unranker, so the differential suites can hold every tier
+/// of that unranker to it.
+pub fn reference_unrank(space: &PlanSpace, rank: &Nat) -> PlanNode {
+    let links = space.links();
+    reference_in(space, links.list(links.root_list()), rank.clone())
+}
+
+/// [`reference_unrank`] within the sub-space rooted at `v`.
+pub fn reference_unrank_rooted(space: &PlanSpace, v: PhysId, rank: &Nat) -> PlanNode {
+    reference_expr(space, space.links().ids().dense(v), rank.clone())
+}
+
+/// Step 1: operator selection within an alternative list.
+fn reference_in(space: &PlanSpace, alternatives: &[DenseId], mut rank: Nat) -> PlanNode {
+    for &v in alternatives {
+        let n = space.counts().rooted(v);
+        if &rank < n {
+            return reference_expr(space, v, rank);
+        }
+        rank -= n;
+    }
+    unreachable!("rank below the alternative total by construction")
+}
+
+/// Steps 2–3: sub-rank decomposition and recursive assembly.
+fn reference_expr(space: &PlanSpace, v: DenseId, local_rank: Nat) -> PlanNode {
+    let links = space.links();
+    let mut rest = local_rank;
+    let children = links
+        .slot_lists(v)
+        .iter()
+        .map(|&l| {
+            // digit s_v(i) = rest mod b_v(i); carry rest / b_v(i) onward.
+            let (q, s) = rest.div_rem(space.counts().list_total(l));
+            rest = q;
+            reference_in(space, links.list(l), s)
+        })
+        .collect();
+    assert!(rest.is_zero(), "local rank exceeded B_v(|v|)");
+    PlanNode {
+        id: links.ids().phys(v),
+        children,
+    }
+}
+
+/// `k` reference plans from `seed`: each rank drawn by
+/// [`Nat::random_below`] on one fresh rng, then unranked by
+/// [`reference_unrank`] — what every sampler must reproduce on the same
+/// seed.
+pub fn reference_sample(space: &PlanSpace, seed: u64, k: usize) -> Vec<PlanNode> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..k)
+        .map(|_| reference_unrank(space, &Nat::random_below(&mut rng, space.total())))
+        .collect()
 }

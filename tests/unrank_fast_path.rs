@@ -1,12 +1,13 @@
-//! Differential tests of the fixed-width flat unrankers (DESIGN.md
-//! §11).
+//! Differential tests of the tiered unranker (DESIGN.md §11).
 //!
-//! `sample_batch_flat` runs the mixed-radix decomposition on the
-//! fastest rung of the tier ladder the space qualifies for — `u64` when
-//! every count fits one limb, `u128` when every count fits two, exact
-//! `Nat` beyond that. Correctness here is entirely differential: on the
-//! *same seed*, the flat batch must reproduce the tree sampler's plans
-//! bit for bit —
+//! Every unrank and sample entry point runs the one mixed-radix
+//! unranker on the fastest rung of the tier ladder the space qualifies
+//! for — `u64` when every count fits one limb, `u128` when every count
+//! fits two, exact `Nat` beyond that. Correctness here is entirely
+//! differential against the test-owned recursive exact-`Nat` reference
+//! (`common::reference_unrank`, which shares no code with the library):
+//! on the *same seed*, `sample_batch_flat` and `sample_batch` must
+//! reproduce the reference's plans bit for bit —
 //!
 //! * on random optimizer-built join-graph topologies (all single-limb
 //!   at these sizes, so the `u64` tier is what's exercised);
@@ -18,15 +19,22 @@
 //!   smallest clique past one limb, now served by the `u128` tier), and
 //!   a chain long enough that its total genuinely needs three limbs
 //!   (the remaining `Nat` regime);
-//! * and the criteria themselves are pinned: `has_fast_path()` /
-//!   `has_wide_path()` must reflect exactly whether every count fits
-//!   one / two limbs.
+//! * and the criteria themselves are pinned: `tier()` must reflect
+//!   exactly whether every count fits one / two limbs.
+//!
+//! `unrank`, `unrank_rooted` and `sample_rooted` are held to the same
+//! reference on every expression of the paper example and of a
+//! 5-relation space, forced onto each tier.
 //!
 //! clique-10 (the bench's u128 regime) is covered when
 //! `PLANSAMPLE_STATISTICAL=1` — its debug-mode memo synthesis is too
 //! slow for the fast test tier.
 
-use plansample::{CountTier, PlanBatch, PlanSpace};
+mod common;
+
+use common::{reference_sample, reference_unrank, reference_unrank_rooted};
+use plansample::{paper_example, CountTier, PlanBatch, PlanSpace};
+use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_optimizer::{optimize, OptimizerConfig};
 use proptest::prelude::*;
@@ -34,22 +42,40 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Draws `k` plans through both samplers on the same seed and asserts
-/// the flat batch equals the tree batch's preorder listings.
+/// Draws `k` plans through both batch samplers on `seed` and asserts
+/// each equals the reference's plans from the same seed.
 fn assert_flat_matches_tree(space: &PlanSpace, seed: u64, k: usize) {
-    let trees = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        space.sample_batch(&mut rng, k)
-    };
+    let reference = reference_sample(space, seed, k);
+    assert_batches_match(space, seed, &reference, "");
+}
+
+/// `sample_batch_flat` and `sample_batch` on `seed` both reproduce
+/// `reference` draw for draw.
+fn assert_batches_match(
+    space: &PlanSpace,
+    seed: u64,
+    reference: &[plansample_memo::PlanNode],
+    at: &str,
+) {
     let mut flat = PlanBatch::new();
     let mut rng = StdRng::seed_from_u64(seed);
-    space.sample_batch_flat(&mut rng, k, &mut flat);
-    assert_eq!(flat.len(), trees.len());
-    for (i, (ids, tree)) in flat.iter().zip(&trees).enumerate() {
+    space.sample_batch_flat(&mut rng, reference.len(), &mut flat);
+    assert_eq!(flat.len(), reference.len());
+    for (i, (ids, tree)) in flat.iter().zip(reference).enumerate() {
         assert_eq!(
             ids,
             tree.preorder_ids().as_slice(),
-            "draw {i} diverged (tier={})",
+            "flat draw {i} diverged (tier={}{at})",
+            space.counts().tier()
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let trees = space.sample_batch(&mut rng, reference.len());
+    for (i, (tree, expect)) in trees.iter().zip(reference).enumerate() {
+        assert_eq!(
+            tree,
+            expect,
+            "tree draw {i} diverged (tier={}{at})",
             space.counts().tier()
         );
     }
@@ -58,30 +84,70 @@ fn assert_flat_matches_tree(space: &PlanSpace, seed: u64, k: usize) {
 /// `assert_flat_matches_tree` at every tier the space can be forced
 /// onto, at 1, 2, and 4 worker threads — `k` is chosen large enough
 /// (≥ 512) that multi-thread runs take the parallel shard path. The
-/// reference trees are drawn once from the untouched space; every
-/// (tier, threads) combination must reproduce them.
+/// reference plans are drawn once; every (tier, threads) combination
+/// must reproduce them.
 fn assert_tiers_and_threads_agree(space: &PlanSpace, seed: u64, k: usize) {
-    let trees = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        space.sample_batch(&mut rng, k)
-    };
+    let reference = reference_sample(space, seed, k);
     for tier in [CountTier::U64, CountTier::U128, CountTier::Nat] {
         let mut forced = space.clone();
         forced.force_tier(tier);
         for threads in [1usize, 2, 4] {
-            let mut flat = PlanBatch::new();
-            let mut rng = StdRng::seed_from_u64(seed);
-            threadpool::with_threads(threads, || forced.sample_batch_flat(&mut rng, k, &mut flat));
-            assert_eq!(flat.len(), trees.len());
-            for (i, (ids, tree)) in flat.iter().zip(&trees).enumerate() {
+            let at = format!(", forced tier={tier}, {threads} threads");
+            threadpool::with_threads(threads, || {
+                assert_batches_match(&forced, seed, &reference, &at)
+            });
+        }
+    }
+}
+
+/// `unrank`, `unrank_rooted` and `sample_rooted` against the reference,
+/// with `space` forced onto each tier in turn: every expression with a
+/// non-empty sub-space, at its first, middle and last rank (every rank
+/// when the sub-space has at most `exhaustive` plans), plus one rooted
+/// sample per expression and whole-space ranks.
+fn assert_single_plan_paths_match(space: &PlanSpace, seed: u64, exhaustive: u64) {
+    for tier in [CountTier::U64, CountTier::U128, CountTier::Nat] {
+        let mut forced = space.clone();
+        forced.force_tier(tier);
+        let tier = forced.counts().tier();
+        let probes = |n: &Nat| -> Vec<Nat> {
+            match n.to_u64() {
+                Some(n) if n <= exhaustive => (0..n).map(Nat::from).collect(),
+                _ => {
+                    let last = n.checked_sub(&Nat::one()).expect("non-empty");
+                    let (mid, _) = n.div_rem(&Nat::from(2u64));
+                    vec![Nat::zero(), mid, last]
+                }
+            }
+        };
+        for rank in probes(forced.total()) {
+            assert_eq!(
+                forced.unrank(&rank).unwrap(),
+                reference_unrank(space, &rank),
+                "unrank({rank}) diverged (tier={tier})"
+            );
+        }
+        for (i, v) in space.links().all_ids().enumerate() {
+            let n = space.count_rooted(v);
+            if n.is_zero() {
+                continue;
+            }
+            for rank in probes(n) {
                 assert_eq!(
-                    ids,
-                    tree.preorder_ids().as_slice(),
-                    "draw {i} diverged (forced tier={}, actual={}, {threads} threads)",
-                    tier,
-                    forced.counts().tier()
+                    forced.unrank_rooted(v, &rank).unwrap(),
+                    reference_unrank_rooted(space, v, &rank),
+                    "unrank_rooted({v}, {rank}) diverged (tier={tier})"
                 );
             }
+            let seed = seed ^ i as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let expect = reference_unrank_rooted(space, v, &Nat::random_below(&mut rng, n));
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_eq!(
+                forced.sample_rooted(&mut rng, v),
+                expect,
+                "sample_rooted({v}) diverged (tier={tier})"
+            );
         }
     }
 }
@@ -103,8 +169,9 @@ proptest! {
             .expect("synthetic queries optimize");
         let space = PlanSpace::build_shared(Arc::new(optimized.memo), Arc::new(query))
             .expect("acyclic memo");
-        prop_assert!(
-            space.counts().has_fast_path(),
+        prop_assert_eq!(
+            space.counts().tier(),
+            CountTier::U64,
             "spaces this small must stay single-limb"
         );
         assert_flat_matches_tree(&space, seed ^ 0xFA57, 128);
@@ -124,16 +191,21 @@ proptest! {
         let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query))
             .expect("synthetic memo is acyclic");
         // The criteria are the space's own counts, nothing heuristic:
-        // each sidecar exists iff every count fits its width (and the
-        // ladder keeps at most one).
+        // each fixed-width tier applies iff every count fits its width.
         let all_fit_u64 = space.links().all_ids().all(|id|
             space.count_rooted(id).to_u64().is_some())
             && space.total().to_u64().is_some();
         let all_fit_u128 = space.links().all_ids().all(|id|
             space.count_rooted(id).to_u128().is_some())
             && space.total().to_u128().is_some();
-        prop_assert_eq!(space.counts().has_fast_path(), all_fit_u64);
-        prop_assert_eq!(space.counts().has_wide_path(), all_fit_u128 && !all_fit_u64);
+        let expect = if all_fit_u64 {
+            CountTier::U64
+        } else if all_fit_u128 {
+            CountTier::U128
+        } else {
+            CountTier::Nat
+        };
+        prop_assert_eq!(space.counts().tier(), expect);
         assert_flat_matches_tree(&space, seed ^ 0xB0B, 64);
     }
 
@@ -152,7 +224,7 @@ proptest! {
             .expect("synthetic queries optimize");
         let space = PlanSpace::build_shared(Arc::new(optimized.memo), Arc::new(query))
             .expect("acyclic memo");
-        prop_assert!(space.counts().has_fast_path());
+        prop_assert_eq!(space.counts().tier(), CountTier::U64);
         assert_tiers_and_threads_agree(&space, seed ^ 0x7143, 600);
     }
 }
@@ -165,17 +237,12 @@ proptest! {
 fn clique9_takes_the_u128_tier_and_matches() {
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 9, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("clique-9 builds");
-    assert!(
-        !space.counts().has_fast_path(),
-        "clique-9 total {} must not fit one limb",
+    assert_eq!(
+        space.counts().tier(),
+        CountTier::U128,
+        "clique-9 total {} must fit two limbs but not one",
         space.total()
     );
-    assert!(
-        space.counts().has_wide_path(),
-        "clique-9 total {} must fit two limbs",
-        space.total()
-    );
-    assert_eq!(space.counts().tier(), CountTier::U128);
     assert!(space.total().limbs().len() >= 2);
     assert_flat_matches_tree(&space, 0x911, 48);
 
@@ -209,7 +276,6 @@ fn three_limb_chains_use_the_exact_fallback_and_match() {
             continue;
         }
         assert_eq!(space.counts().tier(), CountTier::Nat);
-        assert!(!space.counts().has_fast_path() && !space.counts().has_wide_path());
         assert_flat_matches_tree(&space, 0x3113, 32);
         return;
     }
@@ -226,7 +292,25 @@ fn clique10_u128_tier_matches_in_the_statistical_tier() {
     }
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 10, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("clique-10 builds");
-    assert!(!space.counts().has_fast_path());
     assert_eq!(space.counts().tier(), CountTier::U128);
     assert_flat_matches_tree(&space, 0x1010, 32);
+}
+
+/// The single-plan entry points — `unrank`, `unrank_rooted`,
+/// `sample_rooted` — on the paper example (every rank of every
+/// expression) and on an optimizer-built 5-relation space, forced onto
+/// each tier: all equal the reference.
+#[test]
+fn single_plan_paths_match_the_reference_on_every_tier() {
+    let ex = paper_example::build();
+    let space = PlanSpace::build(&ex.memo, &ex.query).expect("paper example builds");
+    assert_single_plan_paths_match(&space, 0x5EED, u64::MAX);
+
+    let spec = JoinGraphSpec::new(Topology::Star, 5, 7);
+    let (catalog, query) = spec.build();
+    let optimized = optimize(&catalog, &query, &OptimizerConfig::default())
+        .expect("synthetic queries optimize");
+    let space =
+        PlanSpace::build_shared(Arc::new(optimized.memo), Arc::new(query)).expect("acyclic memo");
+    assert_single_plan_paths_match(&space, 0x5EED5, 16);
 }
