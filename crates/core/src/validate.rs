@@ -162,8 +162,8 @@ impl PlanSpace {
             mismatches: Vec::new(),
         };
         for _ in 0..k {
-            let plan = self.sample(rng);
-            let rank = self.rank(&plan)?;
+            let rank = Nat::random_below(rng, self.total());
+            let plan = self.unrank(&rank)?;
             self.check_one(catalog, db, &plan, &rank, &reference, &mut report)?;
         }
         Ok(report)

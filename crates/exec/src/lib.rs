@@ -9,25 +9,25 @@
 //! operator the optimizer can emit, and multiset result comparison.
 //!
 //! Execution is operator-at-a-time (each node materializes its output)
-//! rather than pipelined — a deliberate simplification (see
-//! `docs/ARCHITECTURE.md`): the engine's job is producing comparable
-//! results for arbitrary valid plans, not throughput. Crucially, operators do *not*
-//! repair bad plans: `StreamAgg` aggregates whatever run boundaries it
-//! sees and `MergeJoin` trusts its inputs to be sorted, so a plan that
-//! violates its physical-property obligations produces wrong answers —
-//! which is exactly what the differential tests are designed to catch
-//! (the validation strategy this engine anchors is `docs/DESIGN.md`
-//! §8).
+//! rather than pipelined, and there is exactly one engine: the paper's
+//! oracle compares plans against plans on the same executor, so the job
+//! is producing comparable results for arbitrary valid plans, not
+//! throughput. `docs/DESIGN.md` §8 gives the rationale and names what
+//! checks each operator.
+//!
+//! Crucially, operators do *not* repair bad plans: `StreamAgg`
+//! aggregates whatever run boundaries it sees and `MergeJoin` trusts its
+//! inputs to be sorted, so a plan that violates its physical-property
+//! obligations produces wrong answers — which is exactly what the
+//! differential tests are designed to catch.
 
 #![warn(missing_docs)]
 
 mod compare;
-mod iter;
 mod node;
 mod run;
 
 pub use compare::render_table;
-pub use iter::Operator;
 pub use node::{AggSpec, ColFilter, ExecNode, JoinSpec, Side};
 
 use plansample_catalog::{Datum, TableId};

@@ -169,22 +169,6 @@ pub enum ExecNode {
     },
 }
 
-impl ExecNode {
-    /// Number of operators in the tree (for reporting).
-    pub fn size(&self) -> usize {
-        1 + match self {
-            ExecNode::TableScan { .. } | ExecNode::IndexScan { .. } => 0,
-            ExecNode::Sort { input, .. }
-            | ExecNode::HashAgg { input, .. }
-            | ExecNode::StreamAgg { input, .. }
-            | ExecNode::Project { input, .. } => input.size(),
-            ExecNode::NestedLoopJoin { left, right, .. }
-            | ExecNode::HashJoin { left, right, .. }
-            | ExecNode::MergeJoin { left, right, .. } => left.size() + right.size(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,26 +206,5 @@ mod tests {
             assemble: vec![(Side::Left, 0, 1), (Side::Right, 0, 1)],
         };
         assert!(spec.pairs_match(&[Int(1)], &[Int(2)]));
-    }
-
-    #[test]
-    fn node_size() {
-        let scan = ExecNode::TableScan {
-            table: TableId(0),
-            filters: vec![],
-        };
-        let sort = ExecNode::Sort {
-            input: Box::new(scan.clone()),
-            keys: vec![0],
-        };
-        let join = ExecNode::NestedLoopJoin {
-            left: Box::new(sort),
-            right: Box::new(scan),
-            spec: JoinSpec {
-                eq_pairs: vec![],
-                assemble: vec![],
-            },
-        };
-        assert_eq!(join.size(), 4);
     }
 }

@@ -251,20 +251,18 @@ fn finalize_groups(
     Table::from_rows(width, out)
 }
 
-/// A bank of aggregate accumulators, one per [`AggSpec`], shared by the
-/// materialized and pipelined engines so both produce bit-identical
-/// aggregate results.
+/// A bank of aggregate accumulators, one per [`AggSpec`].
 #[derive(Debug, Clone)]
-pub(crate) struct Accumulators(Vec<Acc>);
+struct Accumulators(Vec<Acc>);
 
 impl Accumulators {
     /// Fresh accumulators for the given aggregate list.
-    pub(crate) fn new(aggs: &[AggSpec]) -> Self {
+    fn new(aggs: &[AggSpec]) -> Self {
         Accumulators(aggs.iter().map(Acc::new).collect())
     }
 
     /// Folds one input row into every accumulator.
-    pub(crate) fn update(&mut self, row: &[Datum], aggs: &[AggSpec]) -> Result<(), ExecError> {
+    fn update(&mut self, row: &[Datum], aggs: &[AggSpec]) -> Result<(), ExecError> {
         for (acc, spec) in self.0.iter_mut().zip(aggs) {
             acc.update(row, spec)?;
         }
@@ -272,7 +270,7 @@ impl Accumulators {
     }
 
     /// Finalizes into an output row `key ++ aggregate values`.
-    pub(crate) fn finish_into(self, mut key: Vec<Datum>) -> Row {
+    fn finish_into(self, mut key: Vec<Datum>) -> Row {
         key.extend(self.0.into_iter().map(Acc::finish));
         key
     }
@@ -696,6 +694,44 @@ mod tests {
             .execute(&db)
             .unwrap()
             .multiset_eq(&stream.execute(&db).unwrap()));
+
+        // Sorted input produced by a join: join -> sort -> stream agg.
+        let db = db_two(
+            1,
+            vec![vec![Int(1)], vec![Int(2)], vec![Int(2)]],
+            2,
+            vec![
+                vec![Int(1), Int(5)],
+                vec![Int(2), Int(7)],
+                vec![Int(2), Int(9)],
+            ],
+        );
+        let join = ExecNode::HashJoin {
+            left: scan(0),
+            right: scan(1),
+            spec: simple_spec(1, 2, vec![(0, 0)]),
+        };
+        let aggs = vec![AggSpec {
+            func: AggFunc::Sum,
+            arg: Some(2),
+        }];
+        let stream = ExecNode::StreamAgg {
+            input: Box::new(ExecNode::Sort {
+                input: Box::new(join.clone()),
+                keys: vec![0],
+            }),
+            group: vec![0],
+            aggs: aggs.clone(),
+        };
+        let hash = ExecNode::HashAgg {
+            input: Box::new(join),
+            group: vec![0],
+            aggs,
+        };
+        let out = stream.execute(&db).unwrap();
+        // Key 2: (7 + 9) × 2 left duplicates.
+        assert_eq!(out.rows(), &[vec![Int(1), Int(5)], vec![Int(2), Int(32)]]);
+        assert!(out.multiset_eq(&hash.execute(&db).unwrap()));
     }
 
     #[test]
@@ -723,38 +759,34 @@ mod tests {
     #[test]
     fn scalar_aggregate_over_empty_input() {
         let db = db_one(1, vec![]);
+        let aggs = vec![
+            AggSpec {
+                func: AggFunc::CountStar,
+                arg: None,
+            },
+            AggSpec {
+                func: AggFunc::Sum,
+                arg: Some(0),
+            },
+            AggSpec {
+                func: AggFunc::Avg,
+                arg: Some(0),
+            },
+        ];
         for node in [
             ExecNode::HashAgg {
                 input: scan(0),
                 group: vec![],
-                aggs: vec![
-                    AggSpec {
-                        func: AggFunc::CountStar,
-                        arg: None,
-                    },
-                    AggSpec {
-                        func: AggFunc::Sum,
-                        arg: Some(0),
-                    },
-                ],
+                aggs: aggs.clone(),
             },
             ExecNode::StreamAgg {
                 input: scan(0),
                 group: vec![],
-                aggs: vec![
-                    AggSpec {
-                        func: AggFunc::CountStar,
-                        arg: None,
-                    },
-                    AggSpec {
-                        func: AggFunc::Sum,
-                        arg: Some(0),
-                    },
-                ],
+                aggs,
             },
         ] {
             let out = node.execute(&db).unwrap();
-            assert_eq!(out.rows(), &[vec![Int(0), Null]]);
+            assert_eq!(out.rows(), &[vec![Int(0), Null, Null]]);
         }
     }
 

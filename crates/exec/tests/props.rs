@@ -146,52 +146,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The pipelined (Volcano) engine and the materialized engine are
-    /// independent implementations of the same algebra: they must agree
-    /// on arbitrary join + aggregation pipelines.
-    #[test]
-    fn pipelined_engine_agrees_with_materialized(
-        l in arb_table(2, 20, 5),
-        r in arb_table(2, 20, 5),
-    ) {
-        let db = db_two(2, l, 2, r);
-        let join = ExecNode::HashJoin {
-            left: scan(0),
-            right: scan(1),
-            spec: spec(2, 2, vec![(0, 0)]),
-        };
-        let plan = ExecNode::StreamAgg {
-            input: Box::new(ExecNode::Sort { input: Box::new(join), keys: vec![1] }),
-            group: vec![1],
-            aggs: vec![
-                AggSpec { func: AggFunc::CountStar, arg: None },
-                AggSpec { func: AggFunc::Sum, arg: Some(3) },
-            ],
-        };
-        let a = plan.execute(&db).unwrap();
-        let b = plan.execute_pipelined(&db).unwrap();
-        prop_assert!(a.multiset_eq(&b), "{} vs {} rows", a.len(), b.len());
-    }
-
-    #[test]
-    fn pipelined_merge_join_agrees(
-        l in arb_table(1, 24, 4),
-        r in arb_table(1, 24, 4),
-    ) {
-        let db = db_two(1, l, 1, r);
-        let plan = ExecNode::MergeJoin {
-            left: Box::new(ExecNode::Sort { input: scan(0), keys: vec![0] }),
-            right: Box::new(ExecNode::Sort { input: scan(1), keys: vec![0] }),
-            left_key: 0,
-            right_key: 0,
-            spec: spec(1, 1, vec![(0, 0)]),
-        };
-        let a = plan.execute(&db).unwrap();
-        let b = plan.execute_pipelined(&db).unwrap();
-        prop_assert!(a.multiset_eq(&b));
-    }
-}
